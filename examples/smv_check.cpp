@@ -14,12 +14,9 @@
 //                   per spec into DIR; the SYMCEX_EVIDENCE_DIR environment
 //                   variable does the same when the flag is absent.  Each
 //                   bundle re-verifies standalone with tools/symcex-verify.
-//   --threads N     evaluate with N worker threads (the parallel core,
-//                   DESIGN.md §14).  Mirrors the SYMCEX_THREADS
-//                   environment variable (the flag wins when both are
-//                   given); verdicts, traces, evidence bundles, and exit
-//                   codes are identical at every N -- N = 1 runs the
-//                   byte-identical sequential engine.
+//                   Bundles are only built when a directory is configured;
+//                   a model whose relation exceeds the cover cap gets its
+//                   verdicts but no bundle ("uncoverable").
 //   --resume FILE   continue an interrupted check from a crash-safe
 //                   checkpoint (*.sxsnap) instead of compiling a model:
 //                   the snapshot's transition system, options, completed
@@ -115,18 +112,21 @@ void print_raw_trace(const symcex::ts::TransitionSystem& system,
   }
 }
 
+/// Is an evidence directory configured (--evidence or SYMCEX_EVIDENCE_DIR)?
+/// Bundles are built only then: building one expands every transition
+/// conjunct into a DNF cover, which a large relation cannot afford.
+bool bundles_configured(const std::string& evidence_dir) {
+  return !evidence_dir.empty() || !symcex::evidence::default_dir().empty();
+}
+
 /// Continue a checkpointed run: restore, re-check the stored spec (the
 /// staged frontiers make the fixpoints continue from their saved
 /// iterates), print, and emit evidence like a normal run.
 int run_resume(const std::string& snapshot_path, const std::string& evidence_dir,
-               bool shorten_traces, unsigned threads) {
+               bool shorten_traces) {
   using namespace symcex;
-  // Threads are not recorded in checkpoints (the result does not depend
-  // on them), so the resumed run takes the flag / environment like a
-  // fresh one.
   core::ResumedCheck resumed = core::resume_check(
-      snapshot_path,
-      core::CheckOptions{.threads = threads, .evidence_dir = evidence_dir});
+      snapshot_path, core::CheckOptions{.evidence_dir = evidence_dir});
   auto& system = *resumed.system;
   std::cout << "resumed from " << snapshot_path << ": model '"
             << resumed.model_name << "', "
@@ -149,17 +149,67 @@ int run_resume(const std::string& snapshot_path, const std::string& evidence_dir
     std::cout << "-- " << outcome.reason << ":\n";
     print_raw_trace(system, trace);
   }
-  const core::Explanation explanation{
-      outcome.verdict == core::Verdict::kTrue, outcome.trace, outcome.reason,
-      {}, {}};
-  evidence::BundleBuilder bundle = evidence::from_explanation(
-      system, resumed.model_name, resumed.formula, explanation);
-  if (evidence::emit_if_configured(
-          bundle, evidence_dir,
-          evidence::sanitize_basename("resumed_" + resumed.formula))) {
-    std::cout << "-- evidence bundle written\n";
+  if (bundles_configured(evidence_dir)) {
+    const core::Explanation explanation{
+        outcome.verdict == core::Verdict::kTrue, outcome.trace,
+        outcome.reason, {}, {}};
+    try {
+      const evidence::BundleBuilder bundle = evidence::from_explanation(
+          system, resumed.model_name, resumed.formula, explanation);
+      if (evidence::emit_if_configured(
+              bundle, evidence_dir,
+              evidence::sanitize_basename("resumed_" + resumed.formula))) {
+        std::cout << "-- evidence bundle written\n";
+      }
+    } catch (const std::length_error& e) {
+      std::cout << "-- evidence bundle uncoverable: " << e.what() << "\n";
+    }
   }
   return outcome.verdict == core::Verdict::kTrue ? 0 : 1;
+}
+
+/// Build spec `i`'s evidence bundle, annotate it with SMV-level domains and
+/// COI provenance, and write it.  Throws std::length_error when a conjunct
+/// or predicate exceeds the cover cap (evidence::cover_of).
+void emit_bundle(const symcex::smv::SmvModel& model,
+                 const symcex::core::Checker& checker, std::size_t i,
+                 const symcex::core::Explanation& result) {
+  using namespace symcex;
+  evidence::BundleBuilder bundle = evidence::from_explanation(
+      model.system(), checker.options().model_name, model.spec_texts()[i],
+      result);
+  // SMV-level decoding hints: the bundle's trace is raw bits, so
+  // record each non-boolean variable's domain for consumers.
+  for (const auto& var : model.variables()) {
+    if (var.is_boolean) continue;
+    std::string domain;
+    for (const auto& value : var.domain) {
+      if (!domain.empty()) domain += ", ";
+      domain += value.to_string();
+    }
+    bundle.add_annotation("domain:" + var.name, domain);
+  }
+  // COI provenance: when the check ran under a cone-of-influence
+  // reduction (SYMCEX_COI=1), record which variables were dropped and
+  // the dependency-graph fingerprint the cone was derived from.  The
+  // exported trace itself is always the re-inflated full-model trace.
+  if (const analyze::Reduction* reduction = checker.reduction()) {
+    std::string dropped;
+    for (const std::string& name : reduction->dropped_names()) {
+      if (!dropped.empty()) dropped += ", ";
+      dropped += name;
+    }
+    bundle.add_annotation("coi:dropped_vars", dropped);
+    std::ostringstream fp;
+    fp << std::hex << reduction->fingerprint();
+    bundle.add_annotation("coi:fingerprint", fp.str());
+  }
+  if (evidence::emit_if_configured(
+          bundle, checker.options().evidence_dir,
+          evidence::sanitize_basename("spec" + std::to_string(i) + "_" +
+                                      model.spec_texts()[i]))) {
+    std::cout << "-- evidence bundle written for spec " << i << "\n\n";
+  }
 }
 
 }  // namespace
@@ -172,7 +222,6 @@ int main(int argc, char** argv) {
   bool shorten_traces = false;
   std::size_t simulate_steps = 0;
   std::uint64_t seed = 1;
-  unsigned threads = 0;  // 0 = read SYMCEX_THREADS (1 when unset)
   std::string dot_path;
   std::string evidence_dir;
   std::string resume_path;
@@ -198,18 +247,10 @@ int main(int argc, char** argv) {
       evidence_dir = argv[++i];
     } else if (arg == "--resume" && i + 1 < argc) {
       resume_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v == 0 || v > 64) {
-        std::cerr << "error: --threads expects an integer in [1, 64]\n";
-        return 2;
-      }
-      threads = static_cast<unsigned>(v);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "usage: smv_check [--lint] [--hash] [--shorten] "
                    "[--simulate N] [--seed S] [--dot FILE] [--evidence DIR] "
-                   "[--threads N] [--resume FILE.sxsnap] [--version] "
+                   "[--resume FILE.sxsnap] [--version] "
                    "[model.smv]\n";
       return 2;
     } else {
@@ -219,7 +260,7 @@ int main(int argc, char** argv) {
 
   if (!resume_path.empty()) {
     try {
-      return run_resume(resume_path, evidence_dir, shorten_traces, threads);
+      return run_resume(resume_path, evidence_dir, shorten_traces);
     } catch (const persist::SnapshotError& e) {
       std::cerr << "error: cannot resume (" << e.check() << "): " << e.what()
                 << "\n";
@@ -312,8 +353,7 @@ int main(int argc, char** argv) {
     }
 
     const std::string model_name = path.empty() ? "demo" : path;
-    core::Checker checker(system, {.threads = threads,
-                                   .evidence_dir = evidence_dir,
+    core::Checker checker(system, {.evidence_dir = evidence_dir,
                                    .model_name = model_name});
     core::Explainer explainer(checker);
     int failures = 0;
@@ -364,39 +404,13 @@ int main(int argc, char** argv) {
       }
       std::cout << "\n";
 
-      evidence::BundleBuilder bundle = evidence::from_explanation(
-          system, model_name, model.spec_texts()[i], result);
-      // SMV-level decoding hints: the bundle's trace is raw bits, so
-      // record each non-boolean variable's domain for consumers.
-      for (const auto& var : model.variables()) {
-        if (var.is_boolean) continue;
-        std::string domain;
-        for (const auto& value : var.domain) {
-          if (!domain.empty()) domain += ", ";
-          domain += value.to_string();
+      if (bundles_configured(evidence_dir)) {
+        try {
+          emit_bundle(model, checker, i, result);
+        } catch (const std::length_error& e) {
+          std::cout << "-- evidence bundle for spec " << i
+                    << " uncoverable: " << e.what() << "\n\n";
         }
-        bundle.add_annotation("domain:" + var.name, domain);
-      }
-      // COI provenance: when the check ran under a cone-of-influence
-      // reduction (SYMCEX_COI=1), record which variables were dropped and
-      // the dependency-graph fingerprint the cone was derived from.  The
-      // exported trace itself is always the re-inflated full-model trace.
-      if (const analyze::Reduction* reduction = checker.reduction()) {
-        std::string dropped;
-        for (const std::string& name : reduction->dropped_names()) {
-          if (!dropped.empty()) dropped += ", ";
-          dropped += name;
-        }
-        bundle.add_annotation("coi:dropped_vars", dropped);
-        std::ostringstream fp;
-        fp << std::hex << reduction->fingerprint();
-        bundle.add_annotation("coi:fingerprint", fp.str());
-      }
-      if (evidence::emit_if_configured(
-              bundle, checker.options().evidence_dir,
-              evidence::sanitize_basename("spec" + std::to_string(i) + "_" +
-                                          model.spec_texts()[i]))) {
-        std::cout << "-- evidence bundle written for spec " << i << "\n\n";
       }
     }
     if (unknowns > 0) return 3;

@@ -8,38 +8,24 @@
 #include <set>
 
 #include "analyze/analyze.hpp"
+#include "fnv1a.hpp"
 
 namespace symcex::analyze {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t value) {
-  // Hash the value bytewise so ids and set sizes cannot alias.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xffU;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_mix_set(std::uint64_t& h, const std::vector<ts::VarId>& set) {
-  fnv_mix(h, set.size());
-  for (const ts::VarId v : set) fnv_mix(h, v);
-}
-
-}  // namespace
-
 std::uint64_t DepGraph::fingerprint() const {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, num_vars);
-  fnv_mix(h, parts.size());
+  // Every value is folded as 8 bytes so ids and set sizes cannot alias.
+  Fnv1a h(Fnv1a::kLegacyBasis);
+  const auto mix_set = [&h](const std::vector<ts::VarId>& set) {
+    h.le(set.size());
+    for (const ts::VarId v : set) h.le(v);
+  };
+  h.le(num_vars);
+  h.le(parts.size());
   for (const PartSupport& p : parts) {
-    fnv_mix_set(h, p.reads);
-    fnv_mix_set(h, p.writes);
+    mix_set(p.reads);
+    mix_set(p.writes);
   }
-  return h;
+  return h.value();
 }
 
 DepGraph build_dep_graph(const ts::TransitionSystem& ts) {

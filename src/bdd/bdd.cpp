@@ -353,8 +353,7 @@ std::string Bdd::cube_string(const std::vector<std::string>& names) const {
 
 Manager::Manager(std::uint32_t num_vars, const ManagerOptions& options)
     : gc_threshold_(options.gc_threshold),
-      auto_gc_(!options.disable_auto_gc),
-      cache_log2_(options.cache_log2_size) {
+      auto_gc_(!options.disable_auto_gc) {
   nodes_.reserve(1u << 12);
   // Terminals occupy slots 0 (false) and 1 (true) and are never collected.
   nodes_.push_back({kTermVar, kFalse, kFalse, kNil, kMaxRefs});
@@ -369,11 +368,7 @@ Manager::Manager(std::uint32_t num_vars, const ManagerOptions& options)
   if (guard::fault_fire(guard::FaultKind::kAlloc, "cache")) {
     throw std::bad_alloc{};
   }
-  // Context slot 0 is the coordinator's; worker slots are created by
-  // parallel_region_begin.
-  ctxs_.push_back(std::make_unique<ThreadCtx>());
-  ctxs_.front()->cache.assign(std::size_t{1} << options.cache_log2_size,
-                              CacheEntry{});
+  cache_.assign(std::size_t{1} << options.cache_log2_size, CacheEntry{});
   for (std::uint32_t i = 0; i < num_vars; ++i) new_var();
   // Dynamic reordering is opt-in: SYMCEX_REORDER arms the growth trigger
   // for every manager; CheckOptions::reorder overrides per checker.
@@ -397,32 +392,7 @@ Manager::~Manager() {
   registry.unregister_source(diag_source_id_);
 }
 
-void Manager::fold_ctx_stats() const {
-  // Workers are still writing their deltas while a region is open; the
-  // coordinator merges once at parallel_region_end.
-  if (concurrent_.load(std::memory_order_relaxed)) return;
-  for (const auto& c : ctxs_) {
-    stats_.unique_hits += c->unique_hits;
-    c->unique_hits = 0;
-    stats_.unique_misses += c->unique_misses;
-    c->unique_misses = 0;
-    stats_.cache_hits += c->cache_hits;
-    c->cache_hits = 0;
-    stats_.cache_lookups += c->cache_lookups;
-    c->cache_lookups = 0;
-    stats_.node_limit_hits += c->node_limit_hits;
-    c->node_limit_hits = 0;
-    stats_.alloc_failures += c->alloc_failures;
-    c->alloc_failures = 0;
-    for (std::size_t i = 0; i < kNumApplyOps; ++i) {
-      stats_.apply_calls[i] += c->apply_calls[i];
-      c->apply_calls[i] = 0;
-    }
-  }
-}
-
 void Manager::fold_stats_into_diag(diag::Registry& r) const {
-  fold_ctx_stats();
   constexpr std::string_view kPhase = "bdd";
   r.add_in(kPhase, "gc_runs", stats_.gc_runs);
   r.add_in(kPhase, "gc_reclaimed", stats_.gc_reclaimed);
@@ -498,19 +468,15 @@ std::size_t Manager::bucket_of(std::uint32_t var, std::uint32_t lo,
 std::uint32_t Manager::mk(std::uint32_t var, std::uint32_t lo,
                           std::uint32_t hi) {
   if (lo == hi) return lo;  // reduction rule
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    return mk_concurrent(var, lo, hi);
-  }
-  ThreadCtx& c = *ctxs_.front();
   const std::size_t b = bucket_of(var, lo, hi);
   for (std::uint32_t n = buckets_[b]; n != kNil; n = nodes_[n].next) {
     const Node& nd = nodes_[n];
     if (nd.var == var && nd.lo == lo && nd.hi == hi) {
-      ++c.unique_hits;
+      ++stats_.unique_hits;
       return n;
     }
   }
-  ++c.unique_misses;
+  ++stats_.unique_misses;
   // The hard ceiling is suspended inside a reorder session: sifting must
   // never throw out of mk (transient growth there is bounded by the
   // sifter's own max-growth rule and rolled back).
@@ -568,111 +534,6 @@ std::uint32_t Manager::mk(std::uint32_t var, std::uint32_t lo,
   return idx;
 }
 
-std::uint32_t Manager::mk_concurrent(std::uint32_t var, std::uint32_t lo,
-                                     std::uint32_t hi) {
-  ThreadCtx& c = ctx();
-  const std::size_t b = bucket_of(var, lo, hi);
-  // Probe and insert under one stripe critical section: splitting them
-  // would need a re-probe anyway (two workers can miss the same triple
-  // concurrently and insert duplicates, breaking canonicity).  The stripe
-  // is keyed on the BUCKET index -- see the stripe_mu_ declaration -- and
-  // the mutex also publishes a fresh node's fields to later probers.
-  std::lock_guard<std::mutex> stripe(stripe_mu_[b & (kStripes - 1)]);
-  for (std::uint32_t n = buckets_[b]; n != kNil; n = nodes_[n].next) {
-    const Node& nd = nodes_[n];
-    if (nd.var == var && nd.lo == lo && nd.hi == hi) {
-      ++c.unique_hits;
-      return n;
-    }
-  }
-  ++c.unique_misses;
-  // Hard ceiling: the live count is aggregated across workers, so every
-  // thread observes the shared budget.  (Regions and reorder sessions are
-  // mutually exclusive, so the session suspension cannot apply here.)
-  const std::size_t live =
-      std::atomic_ref<std::size_t>(live_nodes_).load(std::memory_order_relaxed);
-  if (node_hard_limit_ != 0 && live >= node_hard_limit_) {
-    ++c.node_limit_hits;
-    throw guard::NodeLimitExceeded(
-        "Manager::mk: live-node limit (" +
-            std::to_string(node_hard_limit_) + ") exceeded",
-        budget_spent());
-  }
-  if (c.slot_pool.empty()) refill_slot_pool(c);
-  const std::uint32_t idx = c.slot_pool.back();
-  c.slot_pool.pop_back();
-  ref(lo);
-  ref(hi);
-  Node& nd = nodes_[idx];
-  nd.var = var;
-  nd.lo = lo;
-  nd.hi = hi;
-  nd.refs = 0;
-  nd.next = buckets_[b];
-  buckets_[b] = idx;  // publication point: guarded by the stripe lock
-  std::atomic_ref<std::size_t>(live_nodes_)
-      .fetch_add(1, std::memory_order_relaxed);
-  // Peak tracking is approximate under concurrency (relaxed max); the
-  // budget decisions above use the live count, not the peak.
-  std::atomic_ref<std::size_t> peak(stats_.peak_nodes);
-  std::size_t seen = peak.load(std::memory_order_relaxed);
-  while (seen < live + 1 &&
-         !peak.compare_exchange_weak(seen, live + 1,
-                                     std::memory_order_relaxed)) {
-  }
-  // Table growth is deferred to parallel_region_end: the bucket count must
-  // stay frozen so the bucket -> stripe mapping is stable.
-  return idx;
-}
-
-void Manager::refill_slot_pool(ThreadCtx& c) {
-  bool alloc_failed = false;
-  bool capacity_exhausted = false;
-  {
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    // Fault site "mk": the Nth fresh node allocation fails, exactly as in
-    // the sequential path; the countdown itself is mutex-serialized inside
-    // fault_fire.
-    if (guard::fault_fire(guard::FaultKind::kAlloc, "mk")) {
-      ++c.alloc_failures;
-      alloc_failed = true;
-    } else {
-      std::size_t want = kAllocChunk;
-      while (want != 0 && !free_list_.empty()) {
-        c.slot_pool.push_back(free_list_.back());
-        free_list_.pop_back();
-        --want;
-      }
-      if (c.slot_pool.empty()) {
-        // No recycled slots: carve fresh ones from the pre-reserved tail.
-        // resize within capacity never reallocates, so worker-held indices
-        // stay valid; the new slots are born freed (kFreeVar).
-        const std::size_t room = nodes_.capacity() - nodes_.size();
-        const std::size_t take = std::min(want, room);
-        if (take == 0) {
-          capacity_exhausted = true;
-        } else {
-          const auto base = static_cast<std::uint32_t>(nodes_.size());
-          nodes_.resize(nodes_.size() + take,
-                        Node{kFreeVar, 0, 0, kNil, 0});
-          for (std::size_t i = 0; i < take; ++i) {
-            c.slot_pool.push_back(base + static_cast<std::uint32_t>(i));
-          }
-        }
-      }
-    }
-  }
-  // Throw outside the allocation lock: budget_spent() re-takes it.
-  if (alloc_failed) {
-    throw guard::AllocationFailed("Manager::mk: injected allocation failure",
-                                  budget_spent());
-  }
-  if (capacity_exhausted) {
-    throw ParallelCapacityExceeded(
-        "Manager::mk: parallel-region node capacity exhausted");
-  }
-}
-
 void Manager::grow_table() {
   const std::size_t new_size = buckets_.size() * 2;
   std::vector<std::uint32_t> fresh;
@@ -700,30 +561,11 @@ void Manager::grow_table() {
 }
 
 void Manager::ref(std::uint32_t idx) {
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    // Saturating atomic increment: CAS so a saturated count stays put.
-    std::atomic_ref<std::uint32_t> r(nodes_[idx].refs);
-    std::uint32_t cur = r.load(std::memory_order_relaxed);
-    while (cur != kMaxRefs &&
-           !r.compare_exchange_weak(cur, cur + 1,
-                                    std::memory_order_relaxed)) {
-    }
-    return;
-  }
   Node& nd = nodes_[idx];
   if (nd.refs != kMaxRefs) ++nd.refs;
 }
 
 void Manager::deref(std::uint32_t idx) {
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    std::atomic_ref<std::uint32_t> r(nodes_[idx].refs);
-    std::uint32_t cur = r.load(std::memory_order_relaxed);
-    while (cur != kMaxRefs &&
-           !r.compare_exchange_weak(cur, cur - 1,
-                                    std::memory_order_relaxed)) {
-    }
-    return;
-  }
   Node& nd = nodes_[idx];
   assert(nd.refs > 0);
   if (nd.refs != kMaxRefs) --nd.refs;
@@ -731,21 +573,11 @@ void Manager::deref(std::uint32_t idx) {
 
 void Manager::handle_ref(std::uint32_t idx) {
   ref(idx);
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    std::atomic_ref<std::size_t>(external_handles_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   ++external_handles_;
 }
 
 void Manager::handle_deref(std::uint32_t idx) {
   deref(idx);
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    std::atomic_ref<std::size_t>(external_handles_)
-        .fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
   assert(external_handles_ > 0);
   --external_handles_;
 }
@@ -774,9 +606,8 @@ void Manager::maybe_auto_reorder() {
   // Growth watermark: live nodes at least doubled since the last reorder
   // (and cleared a small floor, so tiny managers never bother).  Only at
   // top level -- maybe_collect runs before kernels, never inside them.
-  if (!auto_reorder_ || in_reorder_ || order_session_ ||
-      concurrent_.load(std::memory_order_relaxed) ||
-      ctxs_.front()->depth != 0 || num_vars_ < 2) {
+  if (!auto_reorder_ || in_reorder_ || order_session_ || depth_ != 0 ||
+      num_vars_ < 2) {
     return;
   }
   if (live_nodes_ < std::max(2 * reorder_baseline_, kReorderFloor)) return;
@@ -784,19 +615,11 @@ void Manager::maybe_auto_reorder() {
 }
 
 void Manager::flush_cache() {
-  // Invalidate every per-thread computed cache: any of them may reference
-  // nodes the caller is about to free.  Counted as one logical clear.
-  for (const auto& c : ctxs_) {
-    for (auto& e : c->cache) e.valid = false;
-  }
+  for (auto& e : cache_) e.valid = false;
   ++stats_.cache_clears;
 }
 
 void Manager::gc() {
-  // Stop-the-world: wait for in-flight workers to drain (no-op when no
-  // parallel region is open, reentrant when the caller already holds the
-  // gate, e.g. gc -> audit).
-  const Quiesce gate(*this);
   const std::uint64_t t0 = diag::monotonic_ns();
   // The computed cache may reference dead nodes: drop it wholesale.
   flush_cache();
@@ -938,14 +761,9 @@ void Manager::swap_levels(std::uint32_t lvl) {
   if (lvl + 1 >= num_vars_) {
     throw std::invalid_argument("Manager::swap_levels: level out of range");
   }
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    throw std::logic_error("Manager::swap_levels: parallel region open");
-  }
-  if (ctxs_.front()->depth != 0) {
+  if (depth_ != 0) {
     throw std::logic_error("Manager::swap_levels: kernel active");
   }
-  // Reordering is a stop-the-world mutation of the shared table.
-  const Quiesce gate(*this);
   // Fault site "swap": exhaustion between block moves is how a budget
   // really interrupts sifting; probing before any mutation keeps the
   // injected failure at the same boundary.
@@ -1039,11 +857,7 @@ void Manager::swap_levels(std::uint32_t lvl) {
 }
 
 void Manager::reorder_session_begin() {
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    throw std::logic_error(
-        "Manager::reorder_session_begin: parallel region open");
-  }
-  if (ctxs_.front()->depth != 0) {
+  if (depth_ != 0) {
     throw std::logic_error("Manager::reorder_session_begin: kernel active");
   }
   if (order_session_) {
@@ -1135,9 +949,6 @@ void Manager::audit() const {
 }
 
 std::string Manager::audit_check() const {
-  // Audits inspect every slot and chain: quiesce first.  Reentrant, so a
-  // gc()-triggered audit inside an already-gated section is fine.
-  const Quiesce gate(*this);
   std::ostringstream os;
   const auto fail = [&os](const std::string& what) {
     os << "Manager::audit: " << what;
@@ -1363,9 +1174,8 @@ std::string Manager::audit_check() const {
     }
     std::size_t revalidated = 0;
     constexpr std::size_t kSampleLimit = 64;
-    for (const auto& c : ctxs_) {
-    for (std::size_t slot = 0; slot < c->cache.size(); ++slot) {
-      const CacheEntry& e = c->cache[slot];
+    for (std::size_t slot = 0; slot < cache_.size(); ++slot) {
+      const CacheEntry& e = cache_[slot];
       if (!e.valid) continue;
       if (e.op < kOpNot || e.op > kOpCompose) {
         return fail("cache slot " + std::to_string(slot) +
@@ -1400,7 +1210,6 @@ std::string Manager::audit_check() const {
           }
         }
       }
-    }
     }
   }
 
@@ -1444,26 +1253,11 @@ void Manager::clear_budget() {
   install_budget(guard::ResourceBudget{});
 }
 
-std::size_t Manager::memory_bytes_unlocked() const {
-  std::size_t bytes = nodes_.capacity() * sizeof(Node) +
-                      buckets_.capacity() * sizeof(std::uint32_t) +
-                      free_list_.capacity() * sizeof(std::uint32_t);
-  for (const auto& c : ctxs_) {
-    bytes += c->cache.capacity() * sizeof(CacheEntry) +
-             c->slot_pool.capacity() * sizeof(std::uint32_t);
-  }
-  return bytes;
-}
-
 std::size_t Manager::memory_bytes() const {
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    // free_list_ mutates under alloc_mu_ during a region; capacities of
-    // nodes_/buckets_/ctx caches are frozen, but take the lock anyway so
-    // the accounting reads one consistent snapshot.
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    return memory_bytes_unlocked();
-  }
-  return memory_bytes_unlocked();
+  return nodes_.capacity() * sizeof(Node) +
+         buckets_.capacity() * sizeof(std::uint32_t) +
+         free_list_.capacity() * sizeof(std::uint32_t) +
+         cache_.capacity() * sizeof(CacheEntry);
 }
 
 std::uint64_t Manager::elapsed_ms() const {
@@ -1472,22 +1266,11 @@ std::uint64_t Manager::elapsed_ms() const {
 
 guard::BudgetSpent Manager::budget_spent() const {
   guard::BudgetSpent spent;
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    // Aggregated view: live_nodes_ and peak_nodes are maintained with
-    // atomic RMWs by every worker, so the totals already cover the whole
-    // region; depth is this thread's own recursion depth.
-    spent.live_nodes =
-        std::atomic_ref<std::size_t>(const_cast<std::size_t&>(live_nodes_))
-            .load(std::memory_order_relaxed);
-    spent.peak_nodes = std::atomic_ref<std::size_t>(stats_.peak_nodes)
-                           .load(std::memory_order_relaxed);
-  } else {
-    spent.live_nodes = live_nodes_;
-    spent.peak_nodes = stats_.peak_nodes;
-  }
+  spent.live_nodes = live_nodes_;
+  spent.peak_nodes = stats_.peak_nodes;
   spent.memory_bytes = memory_bytes();
   spent.elapsed_ms = elapsed_ms();
-  spent.depth = ctx().depth;
+  spent.depth = depth_;
   spent.soft_gc_runs = stats_.soft_gc_runs;
   spent.reorder_swaps = stats_.reorder_swaps;
   return spent;
@@ -1501,22 +1284,15 @@ void Manager::check_deadline(const char* what) {
       budget_spent());
 }
 
-void Manager::throw_depth_exceeded(ThreadCtx& ctx) {
+void Manager::throw_depth_exceeded() {
   guard::BudgetSpent spent = budget_spent();
   // The throwing Frame never finished constructing, so its destructor
   // will not run: undo its increment here.
-  --ctx.depth;
+  --depth_;
   throw guard::DepthLimitExceeded(
       "bdd kernel: recursion depth limit (" +
           std::to_string(depth_limit_) + ") exceeded",
       spent);
-}
-
-void Manager::poll_tick() {
-  // Periodic probe from Frame: wall-clock deadline plus the region abort
-  // flag, so one worker's failure cancels its peers promptly.
-  if (deadline_ns_ != 0) check_deadline("bdd kernel");
-  if (region_abort_.load(std::memory_order_relaxed)) throw WorkerCancelled{};
 }
 
 void Manager::checkpoint(const char* what) {
@@ -1561,130 +1337,8 @@ void Manager::recover_after_abort() {
   last_soft_gc_live_ = 0;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel regions
-// ---------------------------------------------------------------------------
-
-Manager::Quiesce::Quiesce(const Manager& m) : m_(m) {
-  // Reentrant exclusive gate: gc() -> audit() nests, and both quiesce.
-  // Ownership is tracked by thread id so the inner section is a no-op.
-  const std::thread::id self = std::this_thread::get_id();
-  outer_ = m_.gate_owner_.load(std::memory_order_relaxed) != self;
-  if (outer_) {
-    m_.gate_mu_.lock();
-    m_.gate_owner_.store(self, std::memory_order_relaxed);
-  }
-}
-
-Manager::Quiesce::~Quiesce() {
-  if (outer_) {
-    m_.gate_owner_.store(std::thread::id{}, std::memory_order_relaxed);
-    m_.gate_mu_.unlock();
-  }
-}
-
-void Manager::parallel_region_begin(unsigned workers) {
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    throw std::logic_error(
-        "Manager::parallel_region_begin: region already open");
-  }
-  if (in_reorder_ || order_session_) {
-    throw std::logic_error(
-        "Manager::parallel_region_begin: reorder session open");
-  }
-  if (ctxs_.front()->depth != 0) {
-    throw std::logic_error("Manager::parallel_region_begin: kernel active");
-  }
-  if (workers == 0) workers = 1;
-  // Freeze the node array's address for the whole region: mk_concurrent
-  // only ever resize()s within this reserved capacity, so concurrent
-  // readers never see a reallocation.  When the headroom runs out the
-  // region aborts with ParallelCapacityExceeded and the caller falls back
-  // to the sequential path.
-  const std::size_t headroom =
-      std::max<std::size_t>(nodes_.size(), std::size_t{1} << 16);
-  nodes_.reserve(nodes_.size() + headroom);
-  // Worker caches are smaller than the coordinator's: slices are smaller
-  // than the operands the sequential engine sees.
-  const std::size_t worker_cache = std::max<std::size_t>(
-      std::size_t{1} << 12, (std::size_t{1} << cache_log2_) >> 2);
-  while (ctxs_.size() < static_cast<std::size_t>(workers) + 1) {
-    auto c = std::make_unique<ThreadCtx>();
-    c->cache.assign(worker_cache, CacheEntry{});
-    ctxs_.push_back(std::move(c));
-  }
-  // Worker caches persist across regions.  That is safe: the only events
-  // that free nodes or change node semantics (gc, reorder) flush every
-  // per-thread cache, so any entry still marked valid is still correct.
-  region_abort_.store(false, std::memory_order_relaxed);
-  concurrent_.store(true, std::memory_order_seq_cst);
-}
-
-void Manager::parallel_region_end() {
-  if (!concurrent_.load(std::memory_order_relaxed)) {
-    throw std::logic_error("Manager::parallel_region_end: no region open");
-  }
-  // The executor joins / drains its workers before calling this, so all
-  // worker writes happen-before this point.
-  concurrent_.store(false, std::memory_order_seq_cst);
-  // Unused chunk-pool slots go back to the free list; the audit's census
-  // (free slots == free-list entries) counts them there.
-  for (auto& c : ctxs_) {
-    for (const std::uint32_t idx : c->slot_pool) free_list_.push_back(idx);
-    c->slot_pool.clear();
-  }
-  stats_.live_nodes = live_nodes_;
-  fold_ctx_stats();
-  if (region_abort_.load(std::memory_order_relaxed)) {
-    // Some worker threw: reclaim every orphan the cancelled kernels left
-    // behind (their refcounts balance, so a plain collection suffices).
-    recover_after_abort();
-    return;
-  }
-  // Table growth was deferred while the bucket array was shared: catch up
-  // now.  grow_table() keeps the old table on allocation failure, hence
-  // the progress check to avoid spinning.
-  std::size_t prev = 0;
-  while (live_nodes_ > 4 * buckets_.size() && buckets_.size() != prev) {
-    prev = buckets_.size();
-    grow_table();
-  }
-}
-
-void Manager::bind_worker(unsigned slot) {
-  if (slot == 0 || slot >= ctxs_.size()) {
-    throw std::invalid_argument("Manager::bind_worker: bad worker slot");
-  }
-  t_worker_mgr = this;
-  t_worker_ctx = ctxs_[slot].get();
-}
-
-void Manager::unbind_worker() {
-  t_worker_mgr = nullptr;
-  t_worker_ctx = nullptr;
-}
-
 template <typename Kernel>
 Bdd Manager::run_apply(ApplyOp op, Kernel&& kernel) {
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    // Worker-side path: no GC, no reorder, no retry -- recovery is the
-    // coordinator's job at parallel_region_end.  Any failure raises the
-    // region abort flag so sibling workers cancel at their next poll.
-    ThreadCtx& c = ctx();
-    ++c.apply_calls[static_cast<std::size_t>(op)];
-    try {
-      if (deadline_ns_ != 0) check_deadline(apply_op_name(op));
-      if (guard::fault_fire(guard::FaultKind::kDeadline, "apply")) {
-        throw guard::DeadlineExceeded(
-            std::string(apply_op_name(op)) + ": injected deadline",
-            budget_spent());
-      }
-      return wrap(kernel());
-    } catch (...) {
-      region_abort_.store(true, std::memory_order_relaxed);
-      throw;
-    }
-  }
   maybe_collect();
   count_apply(op);
   for (int attempt = 0;; ++attempt) {
@@ -1754,13 +1408,12 @@ void FixpointGuard::tick() {
 
 bool Manager::cache_get(std::uint32_t op, std::uint32_t f, std::uint32_t g,
                         std::uint32_t h, std::uint32_t& out) {
-  ThreadCtx& c = ctx();
-  ++c.cache_lookups;
+  ++stats_.cache_lookups;
   const std::size_t slot =
-      (hash3(f, g, h) ^ (op * 0x85EBCA6Bu)) & (c.cache.size() - 1);
-  const CacheEntry& e = c.cache[slot];
+      (hash3(f, g, h) ^ (op * 0x85EBCA6Bu)) & (cache_.size() - 1);
+  const CacheEntry& e = cache_[slot];
   if (e.valid && e.op == op && e.f == f && e.g == g && e.h == h) {
-    ++c.cache_hits;
+    ++stats_.cache_hits;
     out = e.result;
     return true;
   }
@@ -1769,10 +1422,9 @@ bool Manager::cache_get(std::uint32_t op, std::uint32_t f, std::uint32_t g,
 
 void Manager::cache_put(std::uint32_t op, std::uint32_t f, std::uint32_t g,
                         std::uint32_t h, std::uint32_t result) {
-  ThreadCtx& c = ctx();
   const std::size_t slot =
-      (hash3(f, g, h) ^ (op * 0x85EBCA6Bu)) & (c.cache.size() - 1);
-  c.cache[slot] = CacheEntry{op, f, g, h, result, true};
+      (hash3(f, g, h) ^ (op * 0x85EBCA6Bu)) & (cache_.size() - 1);
+  cache_[slot] = CacheEntry{op, f, g, h, result, true};
 }
 
 // ---------------------------------------------------------------------------
@@ -1785,8 +1437,7 @@ std::uint32_t Manager::not_rec(std::uint32_t f) {
   if (f == kTrue) return kFalse;
   std::uint32_t cached;
   if (cache_get(kOpNot, f, 0, 0, cached)) return cached;
-  // Immutable fields only -- a whole-Node copy would race on refs/next
-  // under a parallel region (value copy because mk may grow nodes_).
+  // Copy by value: mk may grow nodes_.
   const std::uint32_t nvar = nodes_[f].var;
   const std::uint32_t nlo = nodes_[f].lo;
   const std::uint32_t nhi = nodes_[f].hi;
@@ -2007,8 +1658,7 @@ std::uint32_t Manager::compose_rec(std::uint32_t f, std::uint32_t var,
   if (var < num_vars_ && level(f) > var2level_[var]) return f;
   std::uint32_t cached;
   if (cache_get(kOpCompose, f, g, var, cached)) return cached;
-  // Immutable fields only -- a whole-Node copy would race on refs/next
-  // under a parallel region (value copy because mk may grow nodes_).
+  // Copy by value: mk may grow nodes_.
   const std::uint32_t nfvar = nodes_[f].var;
   const std::uint32_t nflo = nodes_[f].lo;
   const std::uint32_t nfhi = nodes_[f].hi;
@@ -2032,8 +1682,7 @@ std::uint32_t Manager::restrict_rec(
   if (level(f) == kTermVar) return f;
   if (var < num_vars_ && level(f) > var2level_[var]) return f;
   if (const auto it = memo.find(f); it != memo.end()) return it->second;
-  // Immutable fields only -- a whole-Node copy would race on refs/next
-  // under a parallel region (value copy because mk may grow nodes_).
+  // Copy by value: mk may grow nodes_.
   const std::uint32_t nvar = nodes_[f].var;
   const std::uint32_t nlo = nodes_[f].lo;
   const std::uint32_t nhi = nodes_[f].hi;
@@ -2146,10 +1795,7 @@ Bdd Manager::rename(const Bdd& f, const std::vector<std::uint32_t>& map) {
       const Frame frame(*this);
       if (level(n) == kTermVar) return n;
       if (const auto it = memo.find(n); it != memo.end()) return it->second;
-      // Copy only the immutable fields: a whole-Node copy would read the
-      // refs word (CASed by sibling workers) and the next link (rewritten
-      // under stripe locks) -- a data race under a parallel region.  Copy
-      // by value, not reference: mk below may grow nodes_ sequentially.
+      // Copy by value, not reference: mk below may grow nodes_.
       const std::uint32_t nvar = nodes_[n].var;
       const std::uint32_t nlo = nodes_[n].lo;
       const std::uint32_t nhi = nodes_[n].hi;

@@ -26,37 +26,21 @@
 // declares each pair a group (group_vars), so sifting moves the pair as a
 // block and the pairwise current<->next renaming stays order-preserving.
 //
-// Thread safety: by default a Manager and all Bdd handles attached to it
-// are confined to one thread.  Inside an explicit *parallel region*
-// (parallel_region_begin / bind_worker / parallel_region_end, driven by
-// ts::ParallelExecutor) registered worker threads may run kernels and
-// create/copy/destroy handles concurrently: the unique table is guarded by
-// bucket-index stripe locks, node allocation hands out per-thread slot
-// pools under one allocation lock, refcounts flip to std::atomic_ref
-// updates, and every thread gets its own computed cache and recursion-depth
-// state (ThreadCtx).  GC, audits and reordering are stop-the-world: they
-// take the exclusive side of a shared/exclusive gate whose shared side
-// workers hold per task, and they refuse to run mid-region.  With no region
-// open, none of this machinery is exercised and the sequential code paths
-// are byte-for-byte the pre-parallel ones (DESIGN.md section 14).
-// Distinct managers are independent.
+// Thread safety: a Manager and all Bdd handles attached to it are confined
+// to one thread at a time.  Distinct managers are independent, which is how
+// checks run concurrently: one manager per check (DESIGN.md sections 14
+// and 15).
 
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <limits>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -208,23 +192,6 @@ inline constexpr std::size_t kNumApplyOps =
 
 /// Short stable name of an apply operation ("and", "ite", ...).
 [[nodiscard]] const char* apply_op_name(ApplyOp op);
-
-/// Thrown by mk() when a parallel region's pre-reserved node capacity is
-/// exhausted: the node array must not reallocate while worker threads hold
-/// raw indices into it, so growth is impossible mid-region.  Internal to
-/// the executor protocol -- ts::ParallelExecutor catches it, the region is
-/// torn down, and the caller falls back to the sequential sweep (which can
-/// grow the table freely).  It never escapes to users.
-class ParallelCapacityExceeded : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Thrown out of a worker's kernel when another worker has aborted the
-/// region (deadline, node limit, capacity): cooperative cancellation,
-/// observed at the same poll points as the wall-clock deadline.  Internal
-/// to the executor protocol; never escapes ParallelExecutor::run.
-struct WorkerCancelled {};
 
 /// Escape `s` for interpolation into a double-quoted Graphviz DOT string:
 /// `"` and `\` are backslash-escaped and newlines become the DOT line-break
@@ -387,10 +354,7 @@ class Manager {
   void dump_dot(std::ostream& os, const std::vector<Bdd>& roots,
                 const std::vector<std::string>& names = {}) const;
 
-  [[nodiscard]] const ManagerStats& stats() const {
-    fold_ctx_stats();
-    return stats_;
-  }
+  [[nodiscard]] const ManagerStats& stats() const { return stats_; }
 
   // -- resource governance ---------------------------------------------------
   // A Manager always carries a budget: the constructor installs the ambient
@@ -521,49 +485,6 @@ class Manager {
   /// persist::SnapshotError (typed, recoverable) on any corruption.
   LoadedSnapshot load_snapshot(std::istream& is);
 
-  // -- shared-memory parallelism (ts::ParallelExecutor; DESIGN.md §14) -------
-  // A parallel region brackets one batch of concurrent kernel work: the
-  // coordinator opens it (pre-reserving node capacity and worker contexts),
-  // worker threads bind a context slot and run ordinary Bdd operations, and
-  // the coordinator closes it after every worker has stopped.  Regions and
-  // reorder sessions are mutually exclusive; GC and table growth are
-  // deferred to region end.  With SYMCEX_THREADS=1 no region is ever
-  // opened and the manager behaves exactly as before.
-
-  /// Number of unique-table stripe locks (bucket index modulo kStripes).
-  static constexpr std::size_t kStripes = 64;
-
-  /// Open a parallel region for up to `workers` worker threads (slots
-  /// 1..workers; slot 0 is the coordinator).  Creates missing worker
-  /// contexts, pre-reserves node capacity so the node array never
-  /// reallocates mid-region, and flips kernels to the concurrent paths.
-  /// Throws std::logic_error when a region, kernel, or reorder session is
-  /// already active.
-  void parallel_region_begin(unsigned workers);
-  /// Close the region: return unused slot pools to the free list, merge
-  /// per-thread stats, run the deferred unique-table growth -- or, when a
-  /// worker aborted, recover to an audit-clean state (same GC-and-flush
-  /// protocol as a sequential abort).  All workers must have stopped.
-  void parallel_region_end();
-  /// Register the calling thread as worker `slot` (1-based; the region
-  /// must provide that many slots).  The binding is thread-local and
-  /// per-manager; undo with unbind_worker().
-  void bind_worker(unsigned slot);
-  void unbind_worker();
-  [[nodiscard]] bool in_parallel_region() const {
-    return concurrent_.load(std::memory_order_relaxed);
-  }
-  /// Has a worker aborted the current region?  Workers observe this flag
-  /// at their poll points and unwind with WorkerCancelled.
-  [[nodiscard]] bool parallel_region_aborted() const {
-    return region_abort_.load(std::memory_order_relaxed);
-  }
-  /// Shared side of the stop-the-world gate: workers hold it while
-  /// executing a task so gc()/audit()/swap_levels (exclusive side) can
-  /// only run against a quiesced table.
-  void gate_lock_shared() const { gate_mu_.lock_shared(); }
-  void gate_unlock_shared() const { gate_mu_.unlock_shared(); }
-
  private:
   friend class Bdd;
   friend class FixpointGuard;
@@ -591,38 +512,6 @@ class Manager {
     bool valid = false;
   };
 
-  /// Per-thread evaluation state.  Slot 0 belongs to the coordinator (the
-  /// thread that owns the manager); worker slots are created lazily by
-  /// parallel_region_begin and bound to threads via bind_worker.  Each
-  /// context carries its own computed cache, recursion depth, deadline
-  /// poll tick, node slot pool, and stat deltas -- the hot-path counters
-  /// that would otherwise race -- which fold_ctx_stats() merges into
-  /// ManagerStats whenever no region is open.  alignas keeps contexts on
-  /// distinct cache lines so worker counters do not false-share.
-  struct alignas(64) ThreadCtx {
-    std::vector<CacheEntry> cache;       // private computed cache
-    std::size_t depth = 0;               // live guarded kernel frames
-    std::uint32_t poll = 0;              // deadline/abort poll tick
-    std::vector<std::uint32_t> slot_pool;  // pre-allocated node slots
-    // Stat deltas, folded into ManagerStats by fold_ctx_stats().
-    std::size_t unique_hits = 0;
-    std::size_t unique_misses = 0;
-    std::size_t cache_hits = 0;
-    std::size_t cache_lookups = 0;
-    std::size_t node_limit_hits = 0;
-    std::size_t alloc_failures = 0;
-    std::array<std::uint64_t, kNumApplyOps> apply_calls{};
-  };
-
-  /// The calling thread's context: its bound worker context inside a
-  /// parallel region, the coordinator context (slot 0) otherwise.
-  [[nodiscard]] ThreadCtx& ctx() {
-    return (t_worker_mgr == this) ? *t_worker_ctx : *ctxs_.front();
-  }
-  [[nodiscard]] const ThreadCtx& ctx() const {
-    return (t_worker_mgr == this) ? *t_worker_ctx : *ctxs_.front();
-  }
-
   enum Op : std::uint32_t {
     kOpNot = 1,
     kOpAnd,
@@ -638,15 +527,6 @@ class Manager {
 
   // -- node plumbing -------------------------------------------------------
   std::uint32_t mk(std::uint32_t var, std::uint32_t lo, std::uint32_t hi);
-  /// mk() under a parallel region: probe-and-insert entirely under the
-  /// bucket's stripe lock (the re-probe a lock-split would need collapses
-  /// into one critical section), allocation from the thread's slot pool.
-  std::uint32_t mk_concurrent(std::uint32_t var, std::uint32_t lo,
-                              std::uint32_t hi);
-  /// Refill `c.slot_pool` with up to kAllocChunk free slots under the
-  /// allocation lock; throws ParallelCapacityExceeded when the region's
-  /// pre-reserved capacity is gone.
-  void refill_slot_pool(ThreadCtx& c);
   void ref(std::uint32_t idx);
   void deref(std::uint32_t idx);
   /// ref/deref from the Bdd handle lifecycle: additionally maintain the
@@ -686,41 +566,23 @@ class Manager {
                  std::uint32_t h, std::uint32_t result);
 
   // -- resource governance (internals) -------------------------------------
-  /// One guarded kernel recursion frame: counts the calling thread's depth
-  /// against the budget and polls the slow path (wall-clock deadline and,
-  /// in a parallel region, the cross-worker abort flag) every few thousand
-  /// frames.  Cost is two increments per recursive call.
+  /// One guarded kernel recursion frame: counts the recursion depth
+  /// against the budget and polls the wall-clock deadline every few
+  /// thousand frames.  Cost is two increments per recursive call.
   struct [[nodiscard]] Frame {
-    explicit Frame(Manager& m) : m_(m), ctx_(m.ctx()) {
+    explicit Frame(Manager& m) : m_(m) {
       // Poll first: if it throws, depth is untouched.  The depth throw
       // fires after the increment, so throw_depth_exceeded compensates
       // for the destructor that will never run.
-      if ((++ctx_.poll & 0xFFFu) == 0) m_.poll_tick();
-      if (++ctx_.depth > m_.depth_limit_) m_.throw_depth_exceeded(ctx_);
+      if ((++m_.poll_ & 0xFFFu) == 0 && m_.deadline_ns_ != 0) {
+        m_.check_deadline("bdd kernel");
+      }
+      if (++m_.depth_ > m_.depth_limit_) m_.throw_depth_exceeded();
     }
-    ~Frame() { --ctx_.depth; }
+    ~Frame() { --m_.depth_; }
     Frame(const Frame&) = delete;
     Frame& operator=(const Frame&) = delete;
     Manager& m_;
-    ThreadCtx& ctx_;
-  };
-
-  /// Frame's slow path (every 4096th frame): wall-clock deadline check and
-  /// region-abort observation (throws WorkerCancelled on a worker whose
-  /// sibling already failed).
-  void poll_tick();
-
-  /// RAII exclusive side of the stop-the-world gate, re-entrant on the
-  /// owning thread (gc() -> audit() nests; reorder sessions wrap both).
-  /// Workers hold the shared side per task, so acquiring this blocks until
-  /// the table is quiescent.
-  struct [[nodiscard]] Quiesce {
-    explicit Quiesce(const Manager& m);
-    ~Quiesce();
-    Quiesce(const Quiesce&) = delete;
-    Quiesce& operator=(const Quiesce&) = delete;
-    const Manager& m_;
-    bool outer_;
   };
 
   /// Run a kernel under the exhaustion-recovery protocol: on a node-limit
@@ -741,14 +603,9 @@ class Manager {
   /// to keep mid-block-move layouts out of the session-best order (an
   /// abort restores that order, and the audit rejects split groups).
   [[nodiscard]] bool groups_contiguous() const;
-  [[noreturn]] void throw_depth_exceeded(ThreadCtx& ctx);
+  [[noreturn]] void throw_depth_exceeded();
   void check_deadline(const char* what);
   [[nodiscard]] std::uint64_t elapsed_ms() const;
-  /// memory_bytes() body without the concurrent-mode allocation lock.
-  [[nodiscard]] std::size_t memory_bytes_unlocked() const;
-  /// Merge every context's stat deltas into stats_ and zero them.  No-op
-  /// while a region is open (workers are still writing their deltas).
-  void fold_ctx_stats() const;
 
   // -- recursive kernels (raw indices; GC never runs inside them) ----------
   std::uint32_t not_rec(std::uint32_t f);
@@ -784,30 +641,13 @@ class Manager {
   std::size_t external_handles_ = 0;
   std::size_t gc_threshold_ = 0;
   bool auto_gc_ = true;
-  mutable ManagerStats stats_;  // mutable: stats() folds ctx deltas lazily
+  ManagerStats stats_;
   int diag_source_id_ = -1;  // registration with diag::Registry::global()
 
-  // Per-thread contexts (slot 0 = coordinator; see ThreadCtx) and the
-  // parallel-region machinery.  stripe_mu_[bucket & (kStripes-1)] guards a
-  // bucket's chain -- the stripe is a function of the BUCKET index, not the
-  // raw hash, because two distinct hashes can collide into one bucket under
-  // the table mask while differing modulo kStripes; the bucket count is
-  // frozen for the duration of a region so the mapping is stable.
-  std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
-  std::uint32_t cache_log2_ = 18;        // sizes worker caches at region begin
-  std::atomic<bool> concurrent_{false};  // a parallel region is open
-  std::atomic<bool> region_abort_{false};  // a worker failed; others unwind
-  std::array<std::mutex, kStripes> stripe_mu_;
-  mutable std::mutex alloc_mu_;  // free list / node-array tail / live count
-  static constexpr std::size_t kAllocChunk = 256;  // slots per pool refill
-  // Stop-the-world gate (see Quiesce / gate_lock_shared).
-  mutable std::shared_mutex gate_mu_;
-  mutable std::atomic<std::thread::id> gate_owner_{};
-  // Thread-local worker binding (bind_worker): which manager this thread
-  // is currently a worker of, and its context.  Reads for a different
-  // manager fall through to that manager's coordinator context.
-  inline static thread_local Manager* t_worker_mgr = nullptr;
-  inline static thread_local ThreadCtx* t_worker_ctx = nullptr;
+  // Computed cache and kernel recursion state.
+  std::vector<CacheEntry> cache_;
+  std::size_t depth_ = 0;   // live guarded kernel frames
+  std::uint32_t poll_ = 0;  // deadline poll tick (see Frame)
 
   // Variable-order state (see the public ordering section).
   std::vector<std::uint32_t> var2level_;  // variable index -> level
@@ -846,12 +686,7 @@ class Manager {
 /// DeadlineExceeded / MemoryLimitExceeded with the iteration count in the
 /// carried BudgetSpent.
 ///
-/// Threading: fixpoint loops run on the coordinator only -- the parallel
-/// engine (DESIGN.md §14) fans each *iteration body* out over slices, it
-/// never splits the loop itself -- so tick() is always called outside a
-/// parallel region and needs no synchronisation.  Deadline/memory probes
-/// inside worker sweeps happen at the managers' per-thread poll points
-/// instead.
+/// Like its manager, a guard is confined to one thread.
 class FixpointGuard {
  public:
   FixpointGuard(Manager& mgr, const char* loop_name)

@@ -158,8 +158,7 @@ void Checker::seed_frontiers(std::vector<persist::Frontier> frontiers) {
 Checker::Checker(ts::TransitionSystem& ts, const CheckOptions& options)
     : ts_(ts),
       options_(options),
-      context_(ts, options.image_method, options.use_care_set,
-               options.threads),
+      context_(ts, options.image_method, options.use_care_set),
       coi_requested_(options.coi.value_or(diag::env_flag("SYMCEX_COI"))) {
   if (!ts.finalized()) {
     throw std::invalid_argument("Checker: transition system not finalized");

@@ -50,15 +50,6 @@ struct CheckOptions {
   /// sifting; see src/order and DESIGN.md §10).  Unset reads
   /// SYMCEX_REORDER, which the manager sampled at construction.
   std::optional<bool> reorder;
-  /// Worker threads for the parallel evaluation core (DESIGN.md §14):
-  /// image/preimage sweeps and the reachability fixpoint fan out over a
-  /// shared-memory pool via disjunctive operand slicing.  0 reads the
-  /// SYMCEX_THREADS environment variable; 1 (the default when both are
-  /// unset) keeps the engine on the byte-identical sequential paths.
-  /// Results are the same canonical BDDs at any value -- verdicts,
-  /// certified traces and evidence bundles do not depend on this knob,
-  /// which is why it is not recorded in checkpoints.
-  unsigned threads = 0;
   /// Restrict every fixpoint to the cone of influence of the property
   /// under check (src/analyze; DESIGN.md §12): transition conjuncts whose
   /// support is disjoint from the cone are dropped before any sweep runs.
@@ -356,8 +347,7 @@ struct ResumedCheck {
 
 /// Load a checkpoint written by Checker/Explainer and stage the resume.
 /// `extra` supplies the options a snapshot does not store (memoize,
-/// threads, evidence_dir, checkpoint_dir for re-checkpointing); the
-/// snapshot's own
+/// evidence_dir, checkpoint_dir for re-checkpointing); the snapshot's own
 /// image method, care-set, COI, and reorder flags always win, so the
 /// resumed run replays the interrupted configuration.  Throws
 /// persist::SnapshotError on a corrupt or incompatible snapshot.

@@ -1,37 +1,18 @@
 #include "core/eval_context.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "diag/metrics.hpp"
 #include "guard/guard.hpp"
-#include "ts/parallel.hpp"
 
 namespace symcex::core {
 
 EvalContext::EvalContext(ts::TransitionSystem& ts, ts::ImageMethod method,
-                         std::optional<bool> use_care_set, unsigned threads)
+                         std::optional<bool> use_care_set)
     : ts_(ts),
       method_(method),
       care_requested_(
-          use_care_set.value_or(diag::env_flag("SYMCEX_CARE_SET"))) {
-  const unsigned n =
-      threads == 0 ? ts::env_threads() : std::min<unsigned>(threads, 64);
-  if (n > 1) {
-    exec_ = std::make_unique<ts::ParallelExecutor>(ts_.manager(), n);
-    // The reachability fixpoint (and anything else calling the system's
-    // *_parallel sweeps directly) fans out over the same pool.
-    ts_.set_parallel(exec_.get());
-  }
-}
-
-EvalContext::~EvalContext() {
-  if (exec_ != nullptr) ts_.set_parallel(nullptr);
-}
-
-unsigned EvalContext::threads() const {
-  return exec_ != nullptr ? exec_->threads() : 1;
-}
+          use_care_set.value_or(diag::env_flag("SYMCEX_CARE_SET"))) {}
 
 void EvalContext::set_reduction(const analyze::Reduction* reduction) {
   if (reduction_ == reduction) return;
@@ -124,38 +105,6 @@ void EvalContext::ensure_care() {
   }
 }
 
-void EvalContext::prewarm_parallel() {
-  if (reduction_ != nullptr) {
-    // Reduction::image/preimage reach for the lazy monolithic reduced
-    // relation on the monolithic method, with <= 1 cluster, or when the
-    // care copy for that shape was never built.
-    if (method_ == ts::ImageMethod::kMonolithic ||
-        reduction_->clusters().size() <= 1) {
-      if (!care_on_ || care_.trans.is_null()) (void)reduction_->trans();
-    }
-    return;
-  }
-  if (!care_on_ && (method_ == ts::ImageMethod::kMonolithic ||
-                    ts_.trans_clusters().size() == 1)) {
-    (void)ts_.trans();
-  }
-}
-
-bdd::Bdd EvalContext::image_sequential(const bdd::Bdd& states) {
-  if (reduction_ != nullptr) {
-    return reduction_->image(states, method_, care_on_ ? &care_ : nullptr);
-  }
-  if (!care_on_) return ts_.image(states, method_);
-  return ts_.image(states, method_, &care_);
-}
-
-bdd::Bdd EvalContext::preimage_sequential(const bdd::Bdd& states) {
-  if (reduction_ != nullptr) {
-    return reduction_->preimage(states, method_, care_on_ ? &care_ : nullptr);
-  }
-  return ts_.preimage(states, method_, care_on_ ? &care_ : nullptr);
-}
-
 bdd::Bdd EvalContext::image(const bdd::Bdd& states) {
   ensure_care();
 #ifndef NDEBUG
@@ -164,27 +113,16 @@ bdd::Bdd EvalContext::image(const bdd::Bdd& states) {
   assert((!care_on_ || states.implies(care_.set)) &&
          "EvalContext::image: operand leaves the care set");
 #endif
-  if (exec_ != nullptr) {
-    // Disjoint slices of `states` each satisfy the care contract (they
-    // imply `states`), and image distributes over their union -- the
-    // combined result is the identical canonical BDD (DESIGN.md §14).
-    prewarm_parallel();
-    return ts::sliced_parallel_sweep(
-        ts_.manager(), *exec_, states,
-        [this](const bdd::Bdd& s) { return image_sequential(s); });
-  }
-  return image_sequential(states);
+  const ts::DontCare* care = care_on_ ? &care_ : nullptr;
+  if (reduction_ != nullptr) return reduction_->image(states, method_, care);
+  return ts_.image(states, method_, care);
 }
 
 bdd::Bdd EvalContext::preimage(const bdd::Bdd& states) {
   ensure_care();
-  if (exec_ != nullptr) {
-    prewarm_parallel();
-    return ts::sliced_parallel_sweep(
-        ts_.manager(), *exec_, states,
-        [this](const bdd::Bdd& s) { return preimage_sequential(s); });
-  }
-  return preimage_sequential(states);
+  const ts::DontCare* care = care_on_ ? &care_ : nullptr;
+  if (reduction_ != nullptr) return reduction_->preimage(states, method_, care);
+  return ts_.preimage(states, method_, care);
 }
 
 }  // namespace symcex::core

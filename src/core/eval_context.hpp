@@ -30,7 +30,6 @@
 
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "analyze/analyze.hpp"
@@ -44,23 +43,14 @@ namespace symcex::core {
 class EvalContext {
  public:
   /// `use_care_set`: nullopt reads the SYMCEX_CARE_SET environment flag.
-  /// `threads`: worker parallelism for the sweeps (DESIGN.md §14); 0 reads
-  /// SYMCEX_THREADS.  At 1 (the default when both are unset) every sweep
-  /// stays on the unchanged sequential code paths, so verdicts, traces and
-  /// evidence bundles are byte-identical to the pre-parallel engine; at
-  /// N > 1 the results are the same canonical BDDs, computed faster.
   EvalContext(ts::TransitionSystem& ts, ts::ImageMethod method,
-              std::optional<bool> use_care_set, unsigned threads = 0);
-  ~EvalContext();
+              std::optional<bool> use_care_set);
 
   EvalContext(const EvalContext&) = delete;
   EvalContext& operator=(const EvalContext&) = delete;
 
   [[nodiscard]] ts::TransitionSystem& system() { return ts_; }
   [[nodiscard]] ts::ImageMethod method() const { return method_; }
-  /// Effective sweep parallelism (1 = sequential).
-  [[nodiscard]] unsigned threads() const;
-
   /// Route every sweep through a cone-of-influence reduction (nullptr to
   /// uninstall; DESIGN.md §12).  Resets the lazy care-set state: under a
   /// reduction the care set is the reduced reachable states and the
@@ -89,16 +79,9 @@ class EvalContext {
 
  private:
   void ensure_care();
-  /// Force every lazily-built relation view the configured sweep reads
-  /// (monolithic products) before a parallel region opens, so no worker
-  /// races the coordinator filling a mutable cache.
-  void prewarm_parallel();
-  [[nodiscard]] bdd::Bdd image_sequential(const bdd::Bdd& states);
-  [[nodiscard]] bdd::Bdd preimage_sequential(const bdd::Bdd& states);
 
   ts::TransitionSystem& ts_;
   ts::ImageMethod method_;
-  std::unique_ptr<ts::ParallelExecutor> exec_;  ///< null when threads == 1
   const analyze::Reduction* reduction_ = nullptr;
   bool care_requested_;
   bool care_ready_ = false;  ///< lazy setup ran (activated or fell back)

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "fnv1a.hpp"
+
 namespace symcex::ctl {
 
 Formula::Ptr Formula::node(Kind kind, Ptr lhs, Ptr rhs) {
@@ -447,48 +449,31 @@ namespace {
 // length-prefixed name, and the children's postorder ids.  Keeping the
 // two encodings in lockstep means a cache key derived offline from a
 // formula always matches the one a loaded snapshot's spec produces.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
 constexpr std::uint32_t kNoChild = 0xffffffffu;
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-}
-
-void hash_u32(std::uint64_t& h, std::uint32_t v) {
-  unsigned char le[4];
-  for (int i = 0; i < 4; ++i) le[i] = static_cast<unsigned char>(v >> (8 * i));
-  hash_bytes(h, le, sizeof le);
-}
 
 void hash_node(const Formula::Ptr& f,
                std::unordered_map<const Formula*, std::uint32_t>& ids,
-               std::uint64_t& h, std::uint32_t& count) {
+               Fnv1a& h, std::uint32_t& count) {
   if (f == nullptr || ids.contains(f.get())) return;
   hash_node(f->lhs(), ids, h, count);
   hash_node(f->rhs(), ids, h, count);
-  const auto kind = static_cast<unsigned char>(f->kind());
-  hash_bytes(h, &kind, 1);
-  hash_u32(h, static_cast<std::uint32_t>(f->name().size()));
-  hash_bytes(h, f->name().data(), f->name().size());
-  hash_u32(h, f->lhs() ? ids.at(f->lhs().get()) : kNoChild);
-  hash_u32(h, f->rhs() ? ids.at(f->rhs().get()) : kNoChild);
+  h.byte(static_cast<unsigned char>(f->kind()));
+  h.le(f->name().size(), 4);
+  h.bytes(f->name());
+  h.le(f->lhs() ? ids.at(f->lhs().get()) : kNoChild, 4);
+  h.le(f->rhs() ? ids.at(f->rhs().get()) : kNoChild, 4);
   ids.emplace(f.get(), count++);
 }
 
 }  // namespace
 
 std::uint64_t formula_hash(const Formula::Ptr& f) {
-  std::uint64_t h = kFnvOffset;
+  Fnv1a h;
   std::unordered_map<const Formula*, std::uint32_t> ids;
   std::uint32_t count = 0;
   hash_node(f, ids, h, count);
-  hash_u32(h, count);
-  return h;
+  h.le(count, 4);
+  return h.value();
 }
 
 }  // namespace symcex::ctl

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "diag/json.hpp"
+#include "fnv1a.hpp"
 #include "version.hpp"
 
 namespace symcex::evidence {
@@ -21,17 +22,6 @@ static_assert(version::kEvidenceSchemaVersion ==
               "src/version.hpp kEvidenceSchemaVersion is out of date");
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// Fold the low `bytes` bytes of `v` (little-endian order) into `h`.
-void fnv_mix(std::uint64_t& h, std::uint64_t v, unsigned bytes) {
-  for (unsigned i = 0; i < bytes; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
 
 void cover_rec(const bdd::Bdd& f, std::vector<Literal>& cube,
                std::vector<std::vector<Literal>>& out, std::size_t max_cubes) {
@@ -211,20 +201,20 @@ const bdd::Bdd& BundleBuilder::predicate(int index) const {
 }
 
 std::string BundleBuilder::cluster_schedule_hash() const {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, ts_.cluster_threshold(), 8);
+  Fnv1a h(Fnv1a::kLegacyBasis);
+  h.le(ts_.cluster_threshold());
   const auto& clusters = ts_.trans_clusters();
-  fnv_mix(h, clusters.size(), 8);
+  h.le(clusters.size());
   for (const bdd::Bdd& cluster : clusters) {
     // support() is sorted by variable index, so the fingerprint is stable
     // under dynamic reordering of the manager's levels.
     const auto support = cluster.support();
-    fnv_mix(h, support.size(), 8);
-    for (const std::uint32_t v : support) fnv_mix(h, v, 4);
+    h.le(support.size());
+    for (const std::uint32_t v : support) h.le(v, 4);
   }
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(h.value()));
   return buf;
 }
 
@@ -398,11 +388,8 @@ std::string default_dir() {
 }
 
 std::string sanitize_basename(std::string_view s) {
-  std::uint64_t h = kFnvOffset;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
+  Fnv1a h(Fnv1a::kLegacyBasis);
+  h.bytes(s);
   std::string out;
   for (const char c : s) {
     const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -413,7 +400,7 @@ std::string sanitize_basename(std::string_view s) {
   if (out.empty()) out = "bundle";
   char buf[10];
   std::snprintf(buf, sizeof buf, "-%08x",
-                static_cast<unsigned>(h & 0xffffffffu));
+                static_cast<unsigned>(h.value() & 0xffffffffu));
   return out + buf;
 }
 

@@ -34,15 +34,14 @@
 // load -- cheap enough for mk()'s allocation branch.
 //
 // This is a test/CI harness.  Probes are thread-safe: armed-entry
-// matching and the countdown decrement happen under a mutex, so under a
-// parallel sweep (DESIGN.md §14) exactly one worker consumes each armed
-// entry -- which worker is scheduling-dependent, but the engine-level
-// outcome (the region aborts, the coordinator rethrows, the recovery
-// path runs once) is not.  Suspension is thread-local: a worker
-// unwinding through recovery code suppresses only its own probes, never
-// a sibling's.  configure()/clear() themselves are not meant to race
-// with in-flight probes -- arm the injector before the run, as the
-// SYMCEX_FAULT_SPEC path does.
+// matching and the countdown decrement happen under a mutex, so when
+// several threads check at once -- the serving daemon's workers, each on
+// its own manager (DESIGN.md §15) -- exactly one of them consumes each
+// armed entry; which one is scheduling-dependent.  Suspension is
+// thread-local: a thread unwinding through recovery code suppresses only
+// its own probes, never another's.  configure()/clear() themselves are
+// not meant to race with in-flight probes -- arm the injector before the
+// run, as the SYMCEX_FAULT_SPEC path does.
 
 #pragma once
 

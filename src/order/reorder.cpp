@@ -247,8 +247,7 @@ namespace symcex::bdd {
 // Defined here rather than in bdd.cpp: the manager owns the trigger and
 // the counters, but the pass itself is order-layer policy.
 bool Manager::reorder() {
-  if (num_vars_ < 2 || ctxs_.front()->depth != 0 || in_reorder_ ||
-      order_session_ || concurrent_.load(std::memory_order_relaxed)) {
+  if (num_vars_ < 2 || depth_ != 0 || in_reorder_ || order_session_) {
     return false;
   }
   in_reorder_ = true;

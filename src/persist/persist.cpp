@@ -20,6 +20,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "fnv1a.hpp"
 #include "guard/fault.hpp"
 #include "version.hpp"
 
@@ -131,13 +132,9 @@ class Cursor {
 }  // namespace
 
 std::uint64_t fnv1a64(const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64 offset basis
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+  Fnv1a h;
+  h.bytes(data, size);
+  return h.value();
 }
 
 // ---------------------------------------------------------------------------
@@ -800,17 +797,12 @@ std::string checkpoint_basename(const std::string& model_name,
   // "net?a") still land in distinct files.  Hash the fingerprint's bytes
   // before the formula text rather than XORing afterwards: XOR of two
   // hashes could cancel structured differences.
-  unsigned char fp[8];
-  for (int i = 0; i < 8; ++i) {
-    fp[i] = static_cast<unsigned char>(ts_fingerprint >> (8 * i));
-  }
-  std::uint64_t h = fnv1a64(fp, sizeof fp);
-  for (const unsigned char c : formula) {
-    h ^= c;
-    h *= 0x00000100000001b3ull;
-  }
+  Fnv1a h;
+  h.le(ts_fingerprint);
+  h.bytes(formula);
   std::ostringstream os;
-  os << sanitize_model_name(model_name) << "-" << std::hex << h << ".sxsnap";
+  os << sanitize_model_name(model_name) << "-" << std::hex << h.value()
+     << ".sxsnap";
   return os.str();
 }
 

@@ -11,6 +11,7 @@
 
 #include "diag/json.hpp"
 #include "evidence/evidence.hpp"
+#include "fnv1a.hpp"
 #include "json_mini.hpp"
 #include "persist/persist.hpp"
 
@@ -20,8 +21,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
 // Seed of the second stream: the offset basis with its halves swapped.
 // Together with the per-byte tweak below this makes the two streams
 // evolve independently, giving a 128-bit fingerprint from two 64-bit
@@ -32,12 +31,12 @@ constexpr std::uint64_t kAltSeed = 0x84222325cbf29ce4ull;
 constexpr int kCacheMetaVersion = 1;
 
 struct Fnv2 {
-  std::uint64_t lo = kFnvOffset;
-  std::uint64_t hi = kAltSeed;
+  Fnv1a lo;
+  Fnv1a hi{kAltSeed};
 
   void byte(unsigned char c) {
-    lo = (lo ^ c) * kFnvPrime;
-    hi = (hi ^ static_cast<unsigned char>(c ^ 0xa5u)) * kFnvPrime;
+    lo.byte(c);
+    hi.byte(static_cast<unsigned char>(c ^ 0xa5u));
   }
   void bytes(const void* data, std::size_t size) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -150,7 +149,7 @@ ModelFingerprint model_fingerprint(const ts::TransitionSystem& ts,
     h.str(name);
     h.cover(evidence::cover_of(*ts.label(name), max_cubes));
   }
-  return ModelFingerprint{h.lo, h.hi};
+  return ModelFingerprint{h.lo.value(), h.hi.value()};
 }
 
 std::string cache_key(const ModelFingerprint& fp,

@@ -24,7 +24,7 @@
 // constraint and every label, together with the variable table.  Two
 // models with the same fingerprint have identical labelled transition
 // structure, hence identical verdicts for every CTL formula; engine
-// options (image method, care set, COI, reorder, threads) are certified
+// options (image method, care set, COI, reorder) are certified
 // verdict-invariant by the ablation layers and are deliberately NOT part
 // of the key.  Models whose covers exceed the expansion cap are served
 // but never cached.
@@ -281,7 +281,6 @@ struct ServerOptions {
   std::size_t max_sessions = 16;  ///< warm model sessions kept resident
   std::size_t cache_capacity = 256;
   std::string cache_dir;        ///< verdict-cache spill dir ("" = memory only)
-  unsigned threads = 1;         ///< CheckOptions::threads for every job
   std::size_t default_node_limit = 0;     ///< job budget when unspecified
   std::uint64_t default_deadline_ms = 0;  ///< job budget when unspecified
   /// Warm-start snapshots (persist check snapshots) loaded at startup.

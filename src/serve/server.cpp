@@ -100,7 +100,6 @@ void Server::start() {
     auto session = std::make_shared<Session>();
     session->model = std::move(model);
     core::CheckOptions co;
-    co.threads = options_.threads;
     co.model_name = session->model.name;
     session->checker =
         std::make_unique<core::Checker>(*session->model.system, co);
@@ -164,17 +163,19 @@ void Server::stop() {
   stopping_.store(true);
   shutdown_requested_.store(true);
 
-  // Unblock the accept loop and every connection reader.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Unblock the accept loop and every connection reader.  The listen
+  // socket is closed only once the accept thread has exited: it is still
+  // reading the descriptor until then.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (std::thread& t : connections_) {
@@ -259,7 +260,6 @@ std::shared_ptr<Server::Session> Server::session_for(
                        ? build_bundled_model(request.model)
                        : build_smv_model(request.model, request.smv);
   core::CheckOptions co;
-  co.threads = options_.threads;
   co.model_name = session->model.name;
   session->checker =
       std::make_unique<core::Checker>(*session->model.system, co);

@@ -9,7 +9,7 @@
 #include <unordered_set>
 
 #include "diag/metrics.hpp"
-#include "ts/parallel.hpp"
+#include "fnv1a.hpp"
 
 namespace symcex::ts {
 
@@ -198,48 +198,39 @@ void TransitionSystem::finalize() {
 
 std::uint64_t TransitionSystem::fingerprint() const {
   require_finalized("fingerprint");
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x00000100000001b3ull;
-    }
-  };
+  Fnv1a h;
   const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const unsigned char c : s) {
-      h ^= c;
-      h *= 0x00000100000001b3ull;
-    }
+    h.le(s.size());
+    h.bytes(s);
   };
   const auto mix_support = [&](const bdd::Bdd& f) {
     if (f.is_null()) {
-      mix(0xffffffffffffffffull);
+      h.le(0xffffffffffffffffull);
       return;
     }
     const std::vector<std::uint32_t> support = f.support();
-    mix(support.size());
-    for (const std::uint32_t v : support) mix(v);
-    mix(f.is_false() ? 1 : (f.is_true() ? 2 : 3));
+    h.le(support.size());
+    for (const std::uint32_t v : support) h.le(v);
+    h.le(f.is_false() ? 1 : (f.is_true() ? 2 : 3));
   };
-  mix(names_.size());
+  h.le(names_.size());
   for (const std::string& name : names_) mix_str(name);
-  mix(cluster_threshold_);
+  h.le(cluster_threshold_);
   mix_support(init_);
-  mix(parts_.size());
+  h.le(parts_.size());
   for (const bdd::Bdd& part : parts_) mix_support(part);
-  mix(fairness_.size());
+  h.le(fairness_.size());
   for (const bdd::Bdd& constraint : fairness_) mix_support(constraint);
   std::vector<std::string> label_names;
   label_names.reserve(labels_.size());
   for (const auto& [name, unused] : labels_) label_names.push_back(name);
   std::sort(label_names.begin(), label_names.end());
-  mix(label_names.size());
+  h.le(label_names.size());
   for (const std::string& name : label_names) {
     mix_str(name);
     mix_support(labels_.at(name));
   }
-  return h;
+  return h.value();
 }
 
 void TransitionSystem::audit() const {
@@ -531,41 +522,6 @@ bdd::Bdd TransitionSystem::preimage(const bdd::Bdd& states, ImageMethod method,
   return acc;
 }
 
-bdd::Bdd TransitionSystem::image_parallel(const bdd::Bdd& states,
-                                          ImageMethod method,
-                                          const DontCare* care) const {
-  if (parallel_ == nullptr || parallel_->threads() <= 1) {
-    return image(states, method, care);
-  }
-  // The monolithic relation is built lazily; force it on the coordinator
-  // before the region opens so no worker races the cache fill.
-  if (care == nullptr &&
-      (method == ImageMethod::kMonolithic || clusters_.size() == 1)) {
-    (void)trans();
-  }
-  return sliced_parallel_sweep(
-      *mgr_, *parallel_, states,
-      [&](const bdd::Bdd& s) { return image(s, method, care); });
-}
-
-bdd::Bdd TransitionSystem::preimage_parallel(const bdd::Bdd& states,
-                                             ImageMethod method,
-                                             const DontCare* care) const {
-  if (parallel_ == nullptr || parallel_->threads() <= 1) {
-    return preimage(states, method, care);
-  }
-  if (care == nullptr &&
-      (method == ImageMethod::kMonolithic || clusters_.size() == 1)) {
-    (void)trans();
-  }
-  // Per-slice care minimization and the final & care->set are sound under
-  // the union: (A & C) | (B & C) == (A | B) & C, and each slice's sweep
-  // returns exactly (EX slice) & C.
-  return sliced_parallel_sweep(
-      *mgr_, *parallel_, states,
-      [&](const bdd::Bdd& s) { return preimage(s, method, care); });
-}
-
 const bdd::Bdd& TransitionSystem::reachable() const {
   require_finalized("reachable");
   if (reachable_.is_null()) {
@@ -594,9 +550,7 @@ const bdd::Bdd& TransitionSystem::reachable() const {
       fixpoint_guard.tick();
       ++iteration;
       if (diag_on) diag::Registry::global().add("reach.iterations");
-      // image_parallel == image (same canonical function) at any thread
-      // count; with no executor installed this IS the plain image call.
-      const bdd::Bdd img = image_parallel(frontier);
+      const bdd::Bdd img = image(frontier);
       frontier = img - reached;
       reached |= frontier;
     }

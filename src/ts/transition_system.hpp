@@ -37,8 +37,6 @@
 
 namespace symcex::ts {
 
-class ParallelExecutor;  // src/ts/parallel.hpp
-
 /// Index of a state variable (not a raw BDD variable).
 using VarId = std::uint32_t;
 
@@ -200,27 +198,6 @@ class TransitionSystem {
       const bdd::Bdd& states, ImageMethod method = ImageMethod::kMonolithic,
       const DontCare* care = nullptr) const;
 
-  /// Install (or, with nullptr, remove) the worker pool the *_parallel
-  /// sweeps and the reachability fixpoint fan out over.  Owned by the
-  /// caller (core::EvalContext), which must outlive its use.  With no
-  /// executor -- or one with a single thread -- every code path below is
-  /// byte-for-byte the sequential one.
-  void set_parallel(ParallelExecutor* exec) const { parallel_ = exec; }
-  [[nodiscard]] ParallelExecutor* parallel_executor() const {
-    return parallel_;
-  }
-
-  /// image()/preimage() with the installed executor's parallelism via
-  /// disjunctive operand slicing (see src/ts/parallel.hpp): the result is
-  /// the identical canonical BDD at any thread count.  Plain image() /
-  /// preimage() when no executor (or 1 thread) is installed.
-  [[nodiscard]] bdd::Bdd image_parallel(
-      const bdd::Bdd& states, ImageMethod method = ImageMethod::kMonolithic,
-      const DontCare* care = nullptr) const;
-  [[nodiscard]] bdd::Bdd preimage_parallel(
-      const bdd::Bdd& states, ImageMethod method = ImageMethod::kMonolithic,
-      const DontCare* care = nullptr) const;
-
   /// All states reachable from init (least fixpoint; cached).
   [[nodiscard]] const bdd::Bdd& reachable() const;
   /// Number of states in a set (over the current rail).
@@ -346,7 +323,6 @@ class TransitionSystem {
   std::vector<bdd::Bdd> img_sched_;
   std::vector<bdd::Bdd> pre_sched_;
 
-  mutable ParallelExecutor* parallel_ = nullptr;  // non-owning; see set_parallel
   mutable bdd::Bdd trans_;        // cached monolithic relation
   mutable bdd::Bdd reachable_;    // cached reachable set
   mutable ReachProgress reach_progress_;  // in-flight / aborted fixpoint

@@ -50,9 +50,11 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 /// Run symcex-verify on `paths`; returns the exit status with the captured
-/// stdout+stderr in *output.
-int run_verify(const std::string& paths, std::string* output) {
-  const std::string log = ::testing::TempDir() + "symcex_verify.log";
+/// stdout+stderr in *output.  The log lives in the test's own `dir`:
+/// test cases may run as concurrent processes.
+int run_verify(const std::string& dir, const std::string& paths,
+               std::string* output) {
+  const std::string log = dir + "/verify.log";
   const std::string cmd =
       std::string(SYMCEX_VERIFY_BIN) + " " + paths + " > " + log + " 2>&1";
   const int status = std::system(cmd.c_str());
@@ -97,7 +99,7 @@ void round_trip(ts::TransitionSystem& system, const std::string& model_name,
 
   // The standalone checker accepts the bundle with no engine involved.
   std::string output;
-  EXPECT_EQ(run_verify(dir + "/bundle.json", &output), 0) << output;
+  EXPECT_EQ(run_verify(dir, dir + "/bundle.json", &output), 0) << output;
   EXPECT_NE(output.find("OK "), std::string::npos) << output;
 }
 
@@ -152,7 +154,7 @@ TEST(EvidenceBundle, TamperedStateAssignmentIsRejectedByName) {
   std::filesystem::create_directories(dir);
   write_file(dir + "/tampered.json", json);
   std::string output;
-  EXPECT_NE(run_verify(dir + "/tampered.json", &output), 0);
+  EXPECT_NE(run_verify(dir, dir + "/tampered.json", &output), 0);
   EXPECT_NE(output.find("FAIL transition["), std::string::npos) << output;
 }
 
@@ -173,7 +175,7 @@ TEST(EvidenceBundle, TamperedObligationIsRejectedByName) {
   std::filesystem::create_directories(dir);
   write_file(dir + "/tampered.json", json);
   std::string output;
-  EXPECT_NE(run_verify(dir + "/tampered.json", &output), 0);
+  EXPECT_NE(run_verify(dir, dir + "/tampered.json", &output), 0);
   EXPECT_NE(output.find("FAIL certificate[path]"), std::string::npos)
       << output;
 }
@@ -319,7 +321,7 @@ TEST(EvidenceBundle, PartialOutcomeExportsPrefixEvidence) {
   const std::string dir = fresh_dir();
   ASSERT_TRUE(evidence::emit_files(bundle, dir, "partial"));
   std::string output;
-  EXPECT_EQ(run_verify(dir + "/partial.json", &output), 0) << output;
+  EXPECT_EQ(run_verify(dir, dir + "/partial.json", &output), 0) << output;
 }
 
 TEST(EvidenceBundle, ExplicitDutiesAreReVerified) {
@@ -334,7 +336,7 @@ TEST(EvidenceBundle, ExplicitDutiesAreReVerified) {
   const std::string dir = fresh_dir();
   ASSERT_TRUE(evidence::emit_files(bundle, dir, "duties"));
   std::string output;
-  EXPECT_EQ(run_verify(dir + "/duties.json", &output), 0) << output;
+  EXPECT_EQ(run_verify(dir, dir + "/duties.json", &output), 0) << output;
 }
 
 TEST(EvidenceBundle, UnfulfilledDutyIsRejectedByName) {
@@ -350,7 +352,7 @@ TEST(EvidenceBundle, UnfulfilledDutyIsRejectedByName) {
   const std::string dir = fresh_dir();
   ASSERT_TRUE(evidence::emit_files(bundle, dir, "unfulfilled"));
   std::string output;
-  EXPECT_NE(run_verify(dir + "/unfulfilled.json", &output), 0);
+  EXPECT_NE(run_verify(dir, dir + "/unfulfilled.json", &output), 0);
   EXPECT_NE(output.find("FAIL duty:visits"), std::string::npos) << output;
 }
 

@@ -55,9 +55,11 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 /// Run symcex-verify on `paths`; returns the exit status with captured
-/// stdout+stderr in *output.
-int run_verify(const std::string& paths, std::string* output) {
-  const std::string log = ::testing::TempDir() + "symcex_serve_verify.log";
+/// stdout+stderr in *output.  The log lives in the test's own `dir`:
+/// test cases may run as concurrent processes.
+int run_verify(const std::string& dir, const std::string& paths,
+               std::string* output) {
+  const std::string log = dir + "/verify.log";
   const std::string cmd =
       std::string(SYMCEX_VERIFY_BIN) + " " + paths + " > " + log + " 2>&1";
   const int status = std::system(cmd.c_str());
@@ -352,7 +354,8 @@ TEST(ServeDaemon, BatchServesVerifiesAndCachesAcrossModels) {
 
   // Every served bundle is a self-contained proof symcex-verify accepts.
   std::string verify_out;
-  EXPECT_EQ(run_verify(bundles + "/*.json", &verify_out), 0) << verify_out;
+  EXPECT_EQ(run_verify(bundles, bundles + "/*.json", &verify_out), 0)
+      << verify_out;
 
   // Second pass: identical answers, all cache hits, measurably faster.
   const std::vector<serve::CheckResult> second = client.batch(jobs);

@@ -14,7 +14,6 @@
 //   --max-sessions N     resident warm model sessions     (default 16)
 //   --cache-capacity N   in-memory verdict-cache entries  (default 256)
 //   --cache-dir DIR      verdict-cache spill directory    (default none)
-//   --threads N          parallel-core threads per job    (default 1)
 //   --node-limit N       default per-job live-node budget (default none)
 //   --deadline-ms N      default per-job deadline         (default none)
 //   --warm FILE.sxsnap   load a check snapshot as a warm session
@@ -47,8 +46,7 @@ int usage() {
                " [--max-queue N]\n"
                "                    [--max-sessions N] [--cache-capacity N]"
                " [--cache-dir DIR]\n"
-               "                    [--threads N] [--node-limit N]"
-               " [--deadline-ms N]\n"
+               "                    [--node-limit N] [--deadline-ms N]\n"
                "                    [--warm FILE.sxsnap]...\n"
                "       symcex-serve --version\n";
   return 2;
@@ -102,9 +100,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-capacity") {
       if (!next_count(n)) return usage();
       options.cache_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--threads") {
-      if (!next_count(n)) return usage();
-      options.threads = static_cast<unsigned>(n);
     } else if (arg == "--node-limit") {
       if (!next_count(n)) return usage();
       options.default_node_limit = static_cast<std::size_t>(n);
