@@ -3,9 +3,10 @@
 //
 // For each zoo model we split total time into (a) computing the verdict
 // and (b) generating the witness/counterexample, and report the witness
-// share.  The DESIGN.md onion-ring ablation is also measured: the cost of
-// the plain CheckFairEG fixpoint vs the witness-ready variant that reruns
-// the final iteration to save the Q_i^h approximation sequences.
+// share.  The DESIGN.md onion-ring ablation is also measured: a lasso
+// built from saved Q_i^h approximation sequences vs one that pays for a
+// fresh fair-EG fixpoint and its rings.  BM_CertifyPath times certifying
+// one counterexample with a fresh certifier, as the pipeline does.
 
 #include <chrono>
 #include <cstdio>
@@ -14,6 +15,7 @@
 
 #include "bench_util.hpp"
 
+#include "certify/certify.hpp"
 #include "core/checker.hpp"
 #include "core/explain.hpp"
 #include "core/invariant.hpp"
@@ -88,36 +90,7 @@ void BM_VerdictPlusCounterexample(benchmark::State& state) {
 }
 BENCHMARK(BM_VerdictPlusCounterexample);
 
-/// Ablation: fair-EG fixpoint alone vs with the ring-saving final pass.
-void BM_FairEgNoRings(benchmark::State& state) {
-  auto m = models::dining_philosophers(
-      {.count = static_cast<std::uint32_t>(state.range(0))});
-  core::Checker ck(*m);
-  const bdd::Bdd f = !*m->label("eat0");
-  for (auto _ : state) {
-    core::Checker fresh(*m);
-    benchmark::DoNotOptimize(fresh.eg(f));
-  }
-}
-BENCHMARK(BM_FairEgNoRings)->Arg(3)->Arg(4)->Arg(5);
-
-void BM_FairEgWithRings(benchmark::State& state) {
-  auto m = models::dining_philosophers(
-      {.count = static_cast<std::uint32_t>(state.range(0))});
-  core::Checker ck(*m);
-  const bdd::Bdd f = !*m->label("eat0");
-  std::size_t rings = 0;
-  for (auto _ : state) {
-    core::Checker fresh(*m);
-    const core::FairEG info = fresh.eg_with_rings(f);
-    rings = 0;
-    for (const auto& family : info.rings) rings += family.size();
-    benchmark::DoNotOptimize(info);
-  }
-  state.counters["saved_rings"] = static_cast<double>(rings);
-}
-BENCHMARK(BM_FairEgWithRings)->Arg(3)->Arg(4)->Arg(5);
-
+/// Ablation: a lasso from saved rings vs one that recomputes them.
 void BM_WitnessFromSavedRings(benchmark::State& state) {
   auto m = models::dining_philosophers({.count = 4});
   core::Checker ck(*m);
@@ -132,15 +105,46 @@ BENCHMARK(BM_WitnessFromSavedRings);
 
 void BM_WitnessRecomputingRings(benchmark::State& state) {
   auto m = models::dining_philosophers({.count = 4});
-  core::Checker ck(*m);
   const bdd::Bdd f = !*m->label("eat0");
   for (auto _ : state) {
-    core::WitnessGenerator wg(ck);
-    // Recomputes the whole fixpoint + rings each time.
-    benchmark::DoNotOptimize(wg.eg(f, ck.eg(f)));
+    // A fresh Checker has an empty FairEG memo, so the fixpoint and its
+    // rings are recomputed each time.
+    core::Checker fresh(*m);
+    core::WitnessGenerator wg(fresh);
+    benchmark::DoNotOptimize(wg.eg(f, fresh.eg(f)));
   }
 }
 BENCHMARK(BM_WitnessRecomputingRings);
+
+/// Certify one counterexample lasso with a fresh certifier per iteration.
+/// The cost should track the trace length, not the model's state count.
+void BM_CertifyPath(benchmark::State& state, bool counter_bank) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  auto m = counter_bank
+               ? models::counter_bank({.banks = n, .width = 4})
+               : models::round_robin_arbiter({.users = n, .rotate = false});
+  core::Checker ck(*m);
+  core::Explainer explainer(ck);
+  const auto out = explainer.explain(counter_bank ? "AG (zero0 -> AF max0)"
+                                                  : "AG (req1 -> AF gnt1)");
+  if (!out.trace) {
+    state.SkipWithError("spec unexpectedly holds");
+    return;
+  }
+  std::size_t obligations = 0;
+  for (auto _ : state) {
+    const certify::TraceCertifier certifier(*m);
+    const certify::Certificate cert = certifier.certify_path(*out.trace);
+    obligations = cert.obligations.size();
+    benchmark::DoNotOptimize(cert);
+  }
+  state.counters["obligations"] = static_cast<double>(obligations);
+  state.counters["trace_len"] = static_cast<double>(out.trace->length());
+}
+BENCHMARK_CAPTURE(BM_CertifyPath, counter_bank, true)
+    ->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CertifyPath, round_robin_camping, false)
+    ->Arg(8)->Arg(10)->Unit(benchmark::kMillisecond);
 
 /// Forward invariant checking vs the backward AG fixpoint: the forward
 /// engine stops at the violation depth instead of closing the whole

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "diag/json.hpp"
 #include "diag/metrics.hpp"
-#include "explicit/explicit_graph.hpp"
 
 namespace symcex::certify {
 
@@ -117,20 +114,7 @@ void require_certified(const Certificate& certificate,
 // TraceCertifier
 // ---------------------------------------------------------------------------
 
-/// Lazily-built state of the cross-engine pass: the enumerated reachable
-/// fragment plus a concrete-assignment -> StateId index.
-struct TraceCertifier::CrossCheck {
-  bool available = false;
-  std::string note;  ///< why the pass is skipped, when unavailable
-  enumerative::Enumerated data;
-  std::map<std::vector<bool>, enumerative::StateId> index;
-};
-
-TraceCertifier::TraceCertifier(const ts::TransitionSystem& ts,
-                               const CertifierOptions& options)
-    : ts_(ts), options_(options) {}
-
-TraceCertifier::~TraceCertifier() = default;
+TraceCertifier::TraceCertifier(const ts::TransitionSystem& ts) : ts_(ts) {}
 
 bool TraceCertifier::decode_state(const bdd::Bdd& state,
                                   std::vector<bool>& values,
@@ -237,57 +221,20 @@ void TraceCertifier::check_structure(
                  position(total - 1, prefix_len) + " -> cycle[0]");
   }
 
-  cross_check_edges(decoded, trace.is_lasso() ? prefix_len : total, cert);
-}
-
-void TraceCertifier::cross_check_edges(
-    const std::vector<std::vector<bool>>& decoded, std::size_t cycle_start,
-    Certificate& cert) const {
-  if (options_.cross_check_max_states == 0) return;
-  if (cross_ == nullptr) {
-    cross_ = std::make_unique<CrossCheck>();
-    try {
-      cross_->data = enumerative::enumerate(ts_, options_.cross_check_max_states);
-      for (std::size_t id = 0; id < cross_->data.concrete.size(); ++id) {
-        cross_->index.emplace(ts_.state_values(cross_->data.concrete[id]),
-                              static_cast<enumerative::StateId>(id));
-      }
-      cross_->available = true;
-    } catch (const std::length_error&) {
-      cross_->note = "model exceeds the cross-check enumeration bound";
-    }
-  }
-  if (!cross_->available) {
-    cert.require("cross-engine", true, "skipped: " + cross_->note);
-    return;
-  }
-
-  const auto lookup = [&](const std::vector<bool>& s)
-      -> std::optional<enumerative::StateId> {
-    const auto it = cross_->index.find(s);
-    if (it == cross_->index.end()) return std::nullopt;
-    return it->second;
-  };
-  const auto check_edge = [&](std::size_t k, std::size_t from, std::size_t to) {
+  // Cross-engine pass: the image of the source state, computed by the
+  // AndExists/rename sweep, must meet the target.  The explicit engine
+  // builds each successor list from exactly this image, so this is its
+  // "target is a successor" predicate -- without enumerating the model.
+  // decode_state proved each entry is the single minterm it decoded to.
+  const auto xcheck = [&](std::size_t k, std::size_t from, std::size_t to) {
     if (decoded[from].empty() || decoded[to].empty()) return;
-    const auto a = lookup(decoded[from]);
-    const auto b = lookup(decoded[to]);
-    const std::string name = "xcheck-edge[" + std::to_string(k) + "]";
-    if (!a || !b) {
-      // Witnesses may legitimately start outside the reachable fragment
-      // (callers can ask for a witness from an arbitrary state set); the
-      // eval-based primary edge check above still covers those edges.
-      cert.require(name, true, "skipped: endpoint outside reachable fragment");
-      return;
-    }
-    const auto& succ = cross_->data.graph.succ[*a];
-    cert.require(name, std::find(succ.begin(), succ.end(), *b) != succ.end(),
-                 "explicit successor list of state " + std::to_string(*a));
+    cert.require("xcheck-edge[" + std::to_string(k) + "]",
+                 ts_.image(states[from]).intersects(states[to]),
+                 "image of " + position(from, prefix_len) + " meets " +
+                     position(to, prefix_len));
   };
-
-  const std::size_t total = decoded.size();
-  for (std::size_t k = 0; k + 1 < total; ++k) check_edge(k, k, k + 1);
-  if (cycle_start < total) check_edge(total - 1, total - 1, cycle_start);
+  for (std::size_t k = 0; k + 1 < total; ++k) xcheck(k, k, k + 1);
+  if (trace.is_lasso()) xcheck(total - 1, total - 1, prefix_len);
 }
 
 Certificate TraceCertifier::certify_path(const core::Trace& trace) const {

@@ -17,9 +17,11 @@
 //   * semantic obligations (EG invariance, fairness visits, EU prefixes,
 //     the CTL* fragment's GF/FG duties) are checked pointwise on the
 //     decoded states;
-//   * optionally, every edge is re-derived a third time through the
-//     explicit engine's successor lists (cross-engine check) when the
-//     model is small enough to enumerate.
+//   * every edge is re-derived a second way (cross-engine check): the
+//     image of the source state, computed by the AndExists/rename sweep
+//     the explicit engine builds its successor lists from, must meet the
+//     target.  The check is local to the trace, so it costs one image per
+//     edge and runs on every model, whatever its size.
 //
 // The result is a Certificate: a structured per-obligation pass/fail list,
 // not a bool, so a failure names exactly which duty the trace violated.
@@ -30,9 +32,7 @@
 
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -104,21 +104,14 @@ struct FragmentDuty {
   bdd::Bdd fg;  ///< the FG side
 };
 
-struct CertifierOptions {
-  /// Re-derive every trace edge through the explicit engine's successor
-  /// lists when the model enumerates within this many states (0 disables
-  /// the cross-engine pass).  States outside the enumerated reachable
-  /// fragment are skipped with an annotation.
-  std::size_t cross_check_max_states = 2048;
-};
-
-/// Semantic trace certifier bound to one finalized TransitionSystem.  The
-/// enumeration for the cross-engine pass is built lazily and cached, so a
-/// long-lived certifier amortises it across traces.
+/// Semantic trace certifier bound to one finalized TransitionSystem.  It
+/// holds no state besides the system, so constructing one is free and its
+/// cost is proportional to the trace, not to the model.
 ///
 /// Independence note: the certifier binds to the raw TransitionSystem and
 /// decides transition membership by evaluating every trans_parts()
-/// conjunct on concrete assignments.  It is deliberately NOT routed
+/// conjunct on concrete assignments; the cross-engine pass re-derives each
+/// edge from the image of its source state.  Neither is routed
 /// through core::EvalContext, so the care-set-restricted relation copies
 /// and merged clusters used by the generators (SYMCEX_CARE_SET=1,
 /// SYMCEX_CLUSTER_THRESHOLD) can never leak into certification: a trace
@@ -126,12 +119,7 @@ struct CertifierOptions {
 /// unsimplified relation.
 class TraceCertifier {
  public:
-  explicit TraceCertifier(const ts::TransitionSystem& ts,
-                          const CertifierOptions& options = {});
-  ~TraceCertifier();
-
-  TraceCertifier(const TraceCertifier&) = delete;
-  TraceCertifier& operator=(const TraceCertifier&) = delete;
+  explicit TraceCertifier(const ts::TransitionSystem& ts);
 
   /// Structural obligations only: every entry denotes exactly one state,
   /// every consecutive pair (and the cycle wrap-around) is a transition.
@@ -170,8 +158,6 @@ class TraceCertifier {
                                            const bdd::Bdd& f) const;
 
  private:
-  struct CrossCheck;
-
   void check_structure(const core::Trace& trace, Certificate& cert,
                        std::vector<std::vector<bool>>& decoded) const;
   /// Decode a (claimed) single-state minterm; returns false on failure.
@@ -181,14 +167,8 @@ class TraceCertifier {
                                    const std::vector<bool>& state) const;
   [[nodiscard]] bool has_transition(const std::vector<bool>& from,
                                     const std::vector<bool>& to) const;
-  /// `cycle_start` is the combined-list index the wrap-around edge
-  /// re-enters (== decoded.size() for a plain finite path).
-  void cross_check_edges(const std::vector<std::vector<bool>>& decoded,
-                         std::size_t cycle_start, Certificate& cert) const;
 
   const ts::TransitionSystem& ts_;
-  CertifierOptions options_;
-  mutable std::unique_ptr<CrossCheck> cross_;  // lazily built
 };
 
 // -- order independence ------------------------------------------------------

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "certify/certify.hpp"
@@ -15,6 +18,7 @@
 #include "core/explain.hpp"
 #include "core/invariant.hpp"
 #include "core/witness.hpp"
+#include "explicit/explicit_graph.hpp"
 #include "models/models.hpp"
 #include "test_util.hpp"
 
@@ -35,16 +39,16 @@ class EnabledGuard {
   bool prev_;
 };
 
-/// A hand-built 4-state ring (2-bit counter 0->1->2->3->0 plus the
-/// self-loop 0->0) with the single fairness constraint "state == 2".
-/// Small enough that every certificate also runs the cross-engine pass,
-/// and every concrete state minterm is available for trace surgery.
+/// A hand-built 2-bit model: state k is the minterm b1 b0 == k, the
+/// relation is exactly `edges`, and the initial state is `init`.  Every
+/// concrete state minterm is available for trace surgery.
 struct RingModel {
   std::unique_ptr<ts::TransitionSystem> m;
   bdd::Bdd s[4];
 };
 
-RingModel make_ring() {
+RingModel make_two_bit_model(
+    const std::vector<std::pair<unsigned, unsigned>>& edges, unsigned init) {
   RingModel r;
   r.m = std::make_unique<ts::TransitionSystem>();
   const ts::VarId b0 = r.m->add_var("b0");
@@ -58,20 +62,19 @@ RingModel make_ring() {
            ((k & 2u) != 0 ? r.m->next(b1) : !r.m->next(b1));
   };
   bdd::Bdd rel = r.m->manager().zero();
-  const auto edge = [&](unsigned a, unsigned b) {
-    rel |= cur_eq(a) & next_eq(b);
-  };
-  edge(0, 1);
-  edge(1, 2);
-  edge(2, 3);
-  edge(3, 0);
-  edge(0, 0);
-  r.m->set_init(cur_eq(0));
+  for (const auto& [a, b] : edges) rel |= cur_eq(a) & next_eq(b);
+  r.m->set_init(cur_eq(init));
   r.m->add_trans(rel);
   r.m->add_fairness(cur_eq(2));
   r.m->finalize();
   for (unsigned k = 0; k < 4; ++k) r.s[k] = cur_eq(k);
   return r;
+}
+
+/// The 4-state ring (2-bit counter 0->1->2->3->0 plus the self-loop 0->0)
+/// with the single fairness constraint "state == 2".
+RingModel make_ring() {
+  return make_two_bit_model({{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 0}}, 0);
 }
 
 /// A valid fair-EG-true lasso on the ring: 0 then (1 2 3 0)^w.
@@ -89,6 +92,25 @@ void expect_first_failure(const certify::Certificate& cert,
   EXPECT_EQ(cert.first_failure()->name, name) << cert.to_string();
 }
 
+/// Whether the obligation called `name` passed; nullopt if there is none.
+std::optional<bool> outcome(const certify::Certificate& cert,
+                            const std::string& name) {
+  for (const auto& ob : cert.obligations) {
+    if (ob.name == name) return ob.ok;
+  }
+  return std::nullopt;
+}
+
+/// Number of obligations whose name starts with `prefix`.
+std::size_t count_obligations(const certify::Certificate& cert,
+                              const std::string& prefix) {
+  std::size_t n = 0;
+  for (const auto& ob : cert.obligations) {
+    if (ob.name.rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------------------
 // Accept paths
 // ---------------------------------------------------------------------------
@@ -99,13 +121,9 @@ TEST(TraceCertifier, AcceptsValidEgLasso) {
   const auto cert = certifier.certify_eg(ring_lasso(r), r.m->manager().one(),
                                          r.m->fairness());
   EXPECT_TRUE(cert.ok()) << cert.to_string();
-  // The ring is tiny, so the cross-engine pass must have re-derived every
-  // edge through the explicit enumeration (not skipped).
-  bool cross_checked = false;
-  for (const auto& ob : cert.obligations) {
-    if (ob.name.rfind("xcheck-edge", 0) == 0) cross_checked = true;
-  }
-  EXPECT_TRUE(cross_checked) << cert.to_string();
+  // The cross-engine pass re-derives every edge, the wrap-around one
+  // included, from the image of its source state.
+  EXPECT_EQ(count_obligations(cert, "xcheck-edge"), 5u) << cert.to_string();
 }
 
 TEST(TraceCertifier, AcceptsValidEuPathAndExStep) {
@@ -135,6 +153,98 @@ TEST(TraceCertifier, AcceptsGeneratedWitnessesOnRandomModels) {
       const auto cert = certifier.certify_eg(tr, f, info.constraints);
       EXPECT_TRUE(cert.ok()) << "seed " << seed << "\n" << cert.to_string();
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-engine pass: the image check agrees with the explicit engine
+// ---------------------------------------------------------------------------
+
+/// For every ordered pair (u, v) of enumerated states, the two-state trace
+/// {u, v} passes xcheck-edge[0] -- and edge[0] -- iff v is on the explicit
+/// engine's successor list of u.
+void expect_xcheck_matches_enumeration(const ts::TransitionSystem& m,
+                                       const std::string& label) {
+  const enumerative::Enumerated e = enumerative::enumerate(m, 2048);
+  const certify::TraceCertifier certifier(m);
+  for (enumerative::StateId u = 0; u < e.graph.num_states(); ++u) {
+    const auto& succ = e.graph.succ[u];
+    for (enumerative::StateId v = 0; v < e.graph.num_states(); ++v) {
+      core::Trace t;
+      t.prefix = {e.concrete[u], e.concrete[v]};
+      const auto cert = certifier.certify_path(t);
+      const bool explicit_edge =
+          std::find(succ.begin(), succ.end(), v) != succ.end();
+      EXPECT_EQ(outcome(cert, "xcheck-edge[0]"), explicit_edge)
+          << label << " u=" << u << " v=" << v << "\n" << cert.to_string();
+      EXPECT_EQ(outcome(cert, "edge[0]"), explicit_edge)
+          << label << " u=" << u << " v=" << v << "\n" << cert.to_string();
+    }
+  }
+}
+
+TEST(CrossEngine, ImageCheckMatchesExplicitSuccessorsOnTheRing) {
+  const RingModel r = make_ring();
+  expect_xcheck_matches_enumeration(*r.m, "ring");
+}
+
+TEST(CrossEngine, ImageCheckMatchesExplicitSuccessorsOnRandomModels) {
+  for (unsigned seed = 0; seed < 20; ++seed) {
+    const auto m = test::random_ts(seed);
+    expect_xcheck_matches_enumeration(*m, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(CrossEngine, CoversEveryEdgeOfAModelBeyondEnumeration) {
+  // 8 banks of 4 bits: 2^32 reachable states, far past any explicit bound.
+  const auto m = models::counter_bank({.banks = 8, .width = 4});
+  core::Checker ck(*m);
+  core::Explainer explainer(ck);
+  const auto out = explainer.explain("AG (zero0 -> AF max0)");
+  ASSERT_FALSE(out.holds);
+  ASSERT_TRUE(out.trace.has_value());
+  ASSERT_TRUE(out.trace->is_lasso());
+  const certify::TraceCertifier certifier(*m);
+  const auto cert = certifier.certify_path(*out.trace);
+  EXPECT_TRUE(cert.ok()) << cert.to_string();
+  // One per consecutive pair plus the wrap-around edge.
+  EXPECT_EQ(count_obligations(cert, "xcheck-edge"), out.trace->length())
+      << cert.to_string();
+  EXPECT_EQ(count_obligations(cert, "cross-engine"), 0u) << cert.to_string();
+}
+
+TEST(CrossEngine, ChecksTracesOutsideTheReachableSet) {
+  // Reachable: {0, 1}.  The 2 <-> 3 loop is a real part of the relation
+  // that no run from init ever enters.
+  const RingModel r =
+      make_two_bit_model({{0, 1}, {1, 1}, {2, 3}, {3, 2}}, 0);
+  ASSERT_FALSE(r.m->reachable().intersects(r.s[2]));
+  const certify::TraceCertifier certifier(*r.m);
+  core::Trace loop;
+  loop.prefix = {r.s[2]};
+  loop.cycle = {r.s[3], r.s[2]};
+  const auto cert = certifier.certify_path(loop);
+  EXPECT_TRUE(cert.ok()) << cert.to_string();
+  EXPECT_EQ(count_obligations(cert, "xcheck-edge"), 3u) << cert.to_string();
+  for (const auto& ob : cert.obligations) {
+    EXPECT_EQ(ob.detail.find("skipped"), std::string::npos) << ob.name;
+  }
+  core::Trace jump;
+  jump.prefix = {r.s[2], r.s[0]};  // 2 -> 0 is not a transition
+  const auto bad = certifier.certify_path(jump);
+  EXPECT_EQ(outcome(bad, "xcheck-edge[0]"), false) << bad.to_string();
+}
+
+TEST(CrossEngine, BrokenStepFailsBothEdgeChecks) {
+  const RingModel r = make_ring();
+  const certify::TraceCertifier certifier(*r.m);
+  core::Trace t;
+  t.prefix = {r.s[0], r.s[1], r.s[3], r.s[0]};  // 1 -> 3 is not a transition
+  const auto cert = certifier.certify_path(t);
+  for (const std::string check : {"edge", "xcheck-edge"}) {
+    EXPECT_EQ(outcome(cert, check + "[0]"), true) << cert.to_string();
+    EXPECT_EQ(outcome(cert, check + "[1]"), false) << cert.to_string();
+    EXPECT_EQ(outcome(cert, check + "[2]"), true) << cert.to_string();
   }
 }
 
