@@ -125,8 +125,7 @@ bool bundles_configured(const std::string& evidence_dir) {
 int run_resume(const std::string& snapshot_path, const std::string& evidence_dir,
                bool shorten_traces) {
   using namespace symcex;
-  core::ResumedCheck resumed = core::resume_check(
-      snapshot_path, core::CheckOptions{.evidence_dir = evidence_dir});
+  core::ResumedCheck resumed = core::resume_check(snapshot_path);
   auto& system = *resumed.system;
   std::cout << "resumed from " << snapshot_path << ": model '"
             << resumed.model_name << "', "
@@ -172,7 +171,8 @@ int run_resume(const std::string& snapshot_path, const std::string& evidence_dir
 /// COI provenance, and write it.  Throws std::length_error when a conjunct
 /// or predicate exceeds the cover cap (evidence::cover_of).
 void emit_bundle(const symcex::smv::SmvModel& model,
-                 const symcex::core::Checker& checker, std::size_t i,
+                 const symcex::core::Checker& checker,
+                 const std::string& evidence_dir, std::size_t i,
                  const symcex::core::Explanation& result) {
   using namespace symcex;
   evidence::BundleBuilder bundle = evidence::from_explanation(
@@ -205,7 +205,7 @@ void emit_bundle(const symcex::smv::SmvModel& model,
     bundle.add_annotation("coi:fingerprint", fp.str());
   }
   if (evidence::emit_if_configured(
-          bundle, checker.options().evidence_dir,
+          bundle, evidence_dir,
           evidence::sanitize_basename("spec" + std::to_string(i) + "_" +
                                       model.spec_texts()[i]))) {
     std::cout << "-- evidence bundle written for spec " << i << "\n\n";
@@ -353,44 +353,32 @@ int main(int argc, char** argv) {
     }
 
     const std::string model_name = path.empty() ? "demo" : path;
-    core::Checker checker(system, {.evidence_dir = evidence_dir,
-                                   .model_name = model_name});
+    core::Checker checker(system, {.model_name = model_name});
     core::Explainer explainer(checker);
     int failures = 0;
     int unknowns = 0;
     for (std::size_t i = 0; i < model.specs().size(); ++i) {
-      // With SYMCEX_CHECKPOINT_DIR set, snapshot this spec's state shortly
-      // before a deadline expires (margin hook) and on exhaustion below.
-      std::optional<guard::ScopedCheckpointHook> margin_hook;
-      if (!checker.checkpoint_dir().empty()) {
-        checker.reset_checkpoint_state();
-        margin_hook.emplace([&checker, &model, i, &system] {
-          (void)checker.write_checkpoint(model.specs()[i],
-                                         system.manager().budget_spent(),
-                                         /*include_live=*/true);
-        });
-      }
+      // With SYMCEX_CHECKPOINT_DIR set, this spec's state is snapshotted
+      // shortly before a deadline expires and on exhaustion.
       core::Explanation result;
-      try {
-        result = explainer.explain(model.specs()[i]);
-        checker.discard_pending_checkpoint();
-      } catch (const guard::ResourceExhausted& e) {
+      const core::CheckOutcome outcome = checker.run_checkpointed(
+          model.specs()[i], [&](core::CheckOutcome& out) {
+            result = explainer.explain(model.specs()[i]);
+            out.verdict =
+                result.holds ? core::Verdict::kTrue : core::Verdict::kFalse;
+          });
+      if (!outcome.known()) {
         ++unknowns;
         std::cout << "-- specification " << model.spec_texts()[i]
                   << " is unknown (out of "
-                  << guard::resource_name(e.resource()) << " budget)\n";
-        std::string ckpt = checker.write_checkpoint(model.specs()[i],
-                                                    e.spent(),
-                                                    /*include_live=*/false);
-        if (ckpt.empty()) ckpt = checker.pending_checkpoint();
-        if (!ckpt.empty()) {
-          std::cout << "-- checkpoint written: " << ckpt
+                  << guard::resource_name(*outcome.exhausted) << " budget)\n";
+        if (!outcome.checkpoint_path.empty()) {
+          std::cout << "-- checkpoint written: " << outcome.checkpoint_path
                     << " (continue with --resume)\n";
         }
         std::cout << "\n";
         continue;
       }
-      margin_hook.reset();
       std::cout << "-- specification " << model.spec_texts()[i] << " is "
                 << (result.holds ? "true" : "false") << "\n";
       if (!result.holds) ++failures;
@@ -406,7 +394,7 @@ int main(int argc, char** argv) {
 
       if (bundles_configured(evidence_dir)) {
         try {
-          emit_bundle(model, checker, i, result);
+          emit_bundle(model, checker, evidence_dir, i, result);
         } catch (const std::length_error& e) {
           std::cout << "-- evidence bundle for spec " << i
                     << " uncoverable: " << e.what() << "\n\n";

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <new>
 #include <ostream>
@@ -385,6 +386,10 @@ Manager::Manager(std::uint32_t num_vars, const ManagerOptions& options)
 }
 
 Manager::~Manager() {
+  // Frontier records hold handles into this manager: release them while
+  // the node table still exists.
+  salvaged_.clear();
+  staged_.clear();
   // Retire: fold the final numbers into the registry permanently so the
   // at-exit report still accounts for managers destroyed before it runs.
   auto& registry = diag::Registry::global();
@@ -1385,6 +1390,51 @@ Bdd Manager::run_apply(ApplyOp op, Kernel&& kernel) {
           budget_spent());
     }
   }
+}
+
+FixpointGuard::FixpointGuard(Manager& mgr, const char* loop_name,
+                             std::vector<Bdd> operands,
+                             const std::vector<Bdd>* rings)
+    : mgr_(mgr),
+      name_(loop_name),
+      resumable_(true),
+      uncaught_(std::uncaught_exceptions()),
+      rings_(rings) {
+  record_.loop = loop_name;
+  record_.operands = std::move(operands);
+  auto& staged = mgr_.staged_;
+  for (auto it = staged.begin(); it != staged.end(); ++it) {
+    if (it->loop == record_.loop && it->operands == record_.operands) {
+      record_ = std::move(*it);
+      staged.erase(it);
+      resumed_ = true;
+      base_ = record_.iteration;
+      break;
+    }
+  }
+  mgr_.live_loops_.push_back(this);
+}
+
+FixpointGuard::~FixpointGuard() {
+  if (!resumable_) return;
+  mgr_.live_loops_.pop_back();
+  if (std::uncaught_exceptions() > uncaught_ && !record_.z.is_null()) {
+    mgr_.salvaged_.push_back(frontier());
+  }
+}
+
+Frontier FixpointGuard::frontier() const {
+  Frontier f{record_.loop, record_.operands, record_.z, {}, record_.iteration};
+  if (rings_ != nullptr) f.rings = *rings_;
+  return f;
+}
+
+std::vector<Frontier> Manager::live_frontiers() const {
+  std::vector<Frontier> out;
+  for (const FixpointGuard* loop : live_loops_) {
+    if (!loop->record_.z.is_null()) out.push_back(loop->frontier());
+  }
+  return out;
 }
 
 void FixpointGuard::tick() {

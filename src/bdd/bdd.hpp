@@ -42,6 +42,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "guard/guard.hpp"
@@ -56,6 +57,7 @@ struct ManagerAccess;  // snapshot plumbing (src/persist)
 
 namespace symcex::bdd {
 
+class FixpointGuard;
 class Manager;
 
 /// RAII handle to a BDD node.  Copying a handle bumps the node's external
@@ -236,6 +238,22 @@ struct ManagerStats {
   }
 };
 
+/// One resumable fixpoint loop's frontier, keyed by its FixpointGuard
+/// loop name ("reachable", "eu", "eu_rings", "eg", "fair_eg_rings") and
+/// its operands.  `z` is the last completed iterate and `iteration` its
+/// number; ring loops also carry their whole approximation sequence (for
+/// "reachable": the one BFS frontier).  A loop staged with a matching
+/// record continues from it instead of its base case; because the record
+/// holds one of the loop's own iterates, the continued computation is
+/// identical to the uninterrupted one (DESIGN.md section 13).
+struct Frontier {
+  std::string loop;
+  std::vector<Bdd> operands;
+  Bdd z;
+  std::vector<Bdd> rings;
+  std::uint64_t iteration = 0;
+};
+
 /// Tuning knobs for a Manager.
 struct ManagerOptions {
   /// log2 of the computed-cache slot count.
@@ -381,6 +399,26 @@ class Manager {
   /// guard::DeadlineExceeded / guard::MemoryLimitExceeded when the budget
   /// is exhausted.  `what` names the caller in the exception message.
   void checkpoint(const char* what);
+
+  // -- fixpoint frontiers (DESIGN.md section 13) -----------------------------
+  // Every resumable loop's FixpointGuard keeps its Frontier record here
+  // while it runs; a loop that unwinds on an exception leaves its record
+  // in the salvaged list, and staged records seed the next matching loop.
+
+  /// Records of the resumable loops running now, outermost first; loops
+  /// that have not completed an iterate yet are skipped.
+  [[nodiscard]] std::vector<Frontier> live_frontiers() const;
+  /// Records of resumable loops that unwound on an exception since the
+  /// last clear_salvaged_frontiers(), innermost first.
+  [[nodiscard]] const std::vector<Frontier>& salvaged_frontiers() const {
+    return salvaged_;
+  }
+  void clear_salvaged_frontiers() { salvaged_.clear(); }
+  /// Stage records for resume: the next resumable loop whose name and
+  /// operands match a record takes it and continues from its iterate.
+  void stage_frontiers(std::vector<Frontier> frontiers) {
+    staged_ = std::move(frontiers);
+  }
 
   // -- dynamic variable ordering ---------------------------------------------
   // The manager keeps two inverse permutations over [0, num_vars):
@@ -677,6 +715,11 @@ class Manager {
   std::uint64_t budget_epoch_ns_ = 0;  // steady-clock ns at install
   std::uint64_t margin_ns_ = 0;  // checkpoint-hook margin before deadline
   std::size_t last_soft_gc_live_ = 0;  // thrash guard for soft GCs
+
+  // Fixpoint frontier records (see the public section).
+  std::vector<const FixpointGuard*> live_loops_;  // innermost last
+  std::vector<Frontier> salvaged_;
+  std::vector<Frontier> staged_;
 };
 
 /// Cooperative guard for fixpoint loops (reachability, EU/EG, the
@@ -686,18 +729,61 @@ class Manager {
 /// DeadlineExceeded / MemoryLimitExceeded with the iteration count in the
 /// carried BudgetSpent.
 ///
+/// A resumable loop also passes its operands.  Its guard is then the one
+/// place the loop's frontier lives: it takes the staged record that
+/// matches (name, operands) at construction (resumed()), tick(z) publishes
+/// each completed iterate into the record, the manager's live_frontiers()
+/// reads it while the loop runs, and a loop that unwinds on an exception
+/// leaves it in the manager's salvaged list.
+///
 /// Like its manager, a guard is confined to one thread.
 class FixpointGuard {
  public:
+  /// A loop that is never resumed: counts and polls, publishes nothing.
   FixpointGuard(Manager& mgr, const char* loop_name)
       : mgr_(mgr), name_(loop_name) {}
+  /// A resumable loop keyed by `operands`.  `rings`, when given, is the
+  /// loop's whole ring sequence, recorded alongside each iterate.
+  FixpointGuard(Manager& mgr, const char* loop_name,
+                std::vector<Bdd> operands,
+                const std::vector<Bdd>* rings = nullptr);
+  ~FixpointGuard();
+
+  FixpointGuard(const FixpointGuard&) = delete;
+  FixpointGuard& operator=(const FixpointGuard&) = delete;
+
+  /// The staged record this loop continues from, or nullptr.  The loop
+  /// reads its iterate (and may move the rings out) before the first tick.
+  [[nodiscard]] Frontier* resumed() {
+    return resumed_ ? &record_ : nullptr;
+  }
+
   void tick();
+  /// Publish `z` as the last completed iterate (one handle assign), then
+  /// tick().
+  void tick(const Bdd& z) {
+    record_.z = z;
+    record_.iteration = base_ + iterations_;
+    tick();
+  }
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
 
  private:
+  friend class Manager;
+
+  /// The record with the current ring sequence copied in.
+  [[nodiscard]] Frontier frontier() const;
+
   Manager& mgr_;
   const char* name_;
   std::size_t iterations_ = 0;
+  // Resumable loops only.
+  bool resumable_ = false;
+  bool resumed_ = false;
+  int uncaught_ = 0;            // std::uncaught_exceptions() at entry
+  std::uint64_t base_ = 0;      // iteration number of the resumed record
+  const std::vector<Bdd>* rings_ = nullptr;
+  Frontier record_;
 };
 
 /// Should gc() follow each collection with Manager::audit()?  Defaults to

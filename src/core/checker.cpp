@@ -1,159 +1,16 @@
 #include "core/checker.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "diag/metrics.hpp"
 
 namespace symcex::core {
-
-// ---------------------------------------------------------------------------
-// Crash-safe frontier tracking (DESIGN.md §13)
-// ---------------------------------------------------------------------------
-
-/// RAII publisher for one running fixpoint loop.  The loop refreshes its
-/// LiveLoop entry each iteration; if the loop unwinds on an exception the
-/// destructor moves the entry into Checker::salvaged_ so the checkpoint
-/// written from check()'s catch block carries the last completed iterate.
-class LoopScope {
- public:
-  LoopScope(Checker& checker, const char* loop,
-            std::vector<bdd::Bdd> operands,
-            const std::vector<bdd::Bdd>* rings = nullptr)
-      : checker_(checker), uncaught_(std::uncaught_exceptions()) {
-    checker_.live_loops_.push_back(
-        Checker::LiveLoop{loop, std::move(operands), bdd::Bdd(), rings, 0});
-  }
-
-  LoopScope(const LoopScope&) = delete;
-  LoopScope& operator=(const LoopScope&) = delete;
-
-  /// Record the last completed iterate (cheap: one handle assign).
-  void publish(const bdd::Bdd& z, std::uint64_t iteration) {
-    auto& entry = checker_.live_loops_.back();
-    entry.z = z;
-    entry.iteration = iteration;
-  }
-
-  ~LoopScope() {
-    auto& entry = checker_.live_loops_.back();
-    if (std::uncaught_exceptions() > uncaught_ && !entry.z.is_null()) {
-      persist::Frontier f;
-      f.loop = entry.loop;
-      f.operands = std::move(entry.operands);
-      f.z = entry.z;
-      if (entry.rings != nullptr) f.rings = *entry.rings;
-      f.iteration = entry.iteration;
-      checker_.salvaged_.push_back(std::move(f));
-    }
-    checker_.live_loops_.pop_back();
-  }
-
- private:
-  Checker& checker_;
-  int uncaught_;
-};
-
-std::string Checker::checkpoint_dir() const {
-  return options_.checkpoint_dir.empty() ? persist::default_checkpoint_dir()
-                                         : options_.checkpoint_dir;
-}
-
-std::optional<persist::Frontier> Checker::take_frontier(
-    const char* loop, const std::vector<bdd::Bdd>& operands) {
-  for (auto it = resume_frontiers_.begin(); it != resume_frontiers_.end();
-       ++it) {
-    if (it->loop == loop && it->operands == operands) {
-      persist::Frontier f = std::move(*it);
-      resume_frontiers_.erase(it);
-      return f;
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<persist::Frontier> Checker::collect_frontiers(bool include_live) {
-  std::vector<persist::Frontier> out = salvaged_;
-  if (include_live) {
-    for (const LiveLoop& entry : live_loops_) {
-      if (entry.z.is_null()) continue;
-      persist::Frontier f;
-      f.loop = entry.loop;
-      f.operands = entry.operands;
-      f.z = entry.z;
-      if (entry.rings != nullptr) f.rings = *entry.rings;
-      f.iteration = entry.iteration;
-      out.push_back(std::move(f));
-    }
-  }
-  // The reachability fixpoint runs inside the transition system; its
-  // progress (aborted or live) is published the same way.
-  if (!ts_.reachable_computed() && ts_.reach_progress().valid()) {
-    const auto& p = ts_.reach_progress();
-    persist::Frontier f;
-    f.loop = "reachable";
-    f.z = p.reached;
-    f.rings = {p.frontier};
-    f.iteration = p.iteration;
-    out.push_back(std::move(f));
-  }
-  return out;
-}
-
-std::string Checker::write_checkpoint(const ctl::Formula::Ptr& spec,
-                                      const guard::BudgetSpent& spent,
-                                      bool include_live) {
-  const std::string dir = checkpoint_dir();
-  if (dir.empty()) return {};
-  // Never let a fault probe on the persist sites fire while assembling
-  // the frontier list itself -- only the actual I/O is a fault site.
-  persist::CheckSnapshotInput input;
-  input.system = &ts_;
-  input.model_name = options_.model_name;
-  input.spec = spec;
-  input.image_method = static_cast<std::uint8_t>(context_.method());
-  input.use_care_set = context_.care_requested();
-  input.coi = coi_requested_;
-  input.reorder = ts_.manager().auto_reorder();
-  input.spent = spent;
-  if (ts_.reachable_computed()) input.reachable = ts_.reachable();
-  input.fair = fair_;
-  input.frontiers = collect_frontiers(include_live);
-  const std::string path =
-      dir + "/" +
-      persist::checkpoint_basename(options_.model_name, ctl::to_string(spec),
-                                   ts_.fingerprint());
-  try {
-    persist::save_check_snapshot(path, input);
-  } catch (const std::exception&) {
-    // A failed checkpoint (disk full, injected io fault) must not mask
-    // the check verdict; the caller simply gets no resume point.
-    return {};
-  }
-  pending_checkpoint_ = path;
-  return path;
-}
-
-void Checker::reset_checkpoint_state() {
-  salvaged_.clear();
-  pending_checkpoint_.clear();
-}
-
-void Checker::discard_pending_checkpoint() {
-  if (pending_checkpoint_.empty()) return;
-  std::remove(pending_checkpoint_.c_str());
-  pending_checkpoint_.clear();
-}
-
-void Checker::seed_fair(const bdd::Bdd& fair) { fair_ = fair; }
-
-void Checker::seed_frontiers(std::vector<persist::Frontier> frontiers) {
-  resume_frontiers_ = std::move(frontiers);
-}
 
 Checker::Checker(ts::TransitionSystem& ts, const CheckOptions& options)
     : ts_(ts),
@@ -285,11 +142,7 @@ bdd::Bdd Checker::states(const ctl::Formula::Ptr& f) {
 
 bdd::Bdd Checker::states_enf(const ctl::Formula::Ptr& f) {
   using ctl::Kind;
-  if (options_.memoize) {
-    if (const auto it = memo_.find(f); it != memo_.end()) {
-      return it->second;
-    }
-  }
+  if (const auto it = memo_.find(f); it != memo_.end()) return it->second;
   bdd::Bdd result;
   switch (f->kind()) {
     case Kind::kTrue:
@@ -336,7 +189,7 @@ bdd::Bdd Checker::states_enf(const ctl::Formula::Ptr& f) {
       // to_existential_normal_form eliminates every other kind.
       throw std::logic_error("Checker::states_enf: unexpected node kind");
   }
-  if (options_.memoize) memo_.emplace(f, result);
+  memo_.emplace(f, result);
   return result;
 }
 
@@ -361,22 +214,43 @@ const char* verdict_name(Verdict v) {
 }
 
 CheckOutcome Checker::check(const ctl::Formula::Ptr& f) {
+  return run_checkpointed(f, [this, &f](CheckOutcome& out) {
+    out.verdict = holds(f) ? Verdict::kTrue : Verdict::kFalse;
+  });
+}
+
+CheckOutcome Checker::check(const std::string& formula_text) {
+  return check(ctl::parse(formula_text));
+}
+
+// ---------------------------------------------------------------------------
+// Crash-safe checkpoints (DESIGN.md §13)
+// ---------------------------------------------------------------------------
+
+CheckOutcome Checker::run_checkpointed(
+    const ctl::Formula::Ptr& spec,
+    const std::function<void(CheckOutcome&)>& body) {
+  bdd::Manager& mgr = ts_.manager();
+  const std::string dir = options_.checkpoint_dir.empty()
+                              ? persist::default_checkpoint_dir()
+                              : options_.checkpoint_dir;
   CheckOutcome out;
-  reset_checkpoint_state();
-  // With checkpointing enabled and a deadline installed, snapshot once
-  // shortly before the deadline expires: the margin hook fires from
-  // Manager::checkpoint() mid-fixpoint, while the live frontiers are on
-  // the loop stack.
+  mgr.clear_salvaged_frontiers();
+  // With a deadline installed, snapshot once shortly before it expires:
+  // the hook fires from Manager::checkpoint() mid-fixpoint, while the
+  // running loops' guards hold their live frontiers.
+  std::string margin_path;
   std::optional<guard::ScopedCheckpointHook> margin_hook;
-  if (!checkpoint_dir().empty()) {
-    margin_hook.emplace([this, &f] {
-      (void)write_checkpoint(f, ts_.manager().budget_spent(),
-                             /*include_live=*/true);
+  if (!dir.empty()) {
+    margin_hook.emplace([&] {
+      margin_path = write_checkpoint(dir, spec, mgr.budget_spent(),
+                                     /*include_live=*/true);
     });
   }
   try {
-    out.verdict = holds(f) ? Verdict::kTrue : Verdict::kFalse;
-    discard_pending_checkpoint();
+    body(out);
+    // A known verdict needs no resume point.
+    if (!margin_path.empty()) std::remove(margin_path.c_str());
   } catch (const guard::ResourceExhausted& e) {
     // The bdd layer already unwound to an audit-clean state; report the
     // abort as a three-valued unknown.  fair_ and the memo only ever hold
@@ -386,23 +260,59 @@ CheckOutcome Checker::check(const ctl::Formula::Ptr& f) {
     out.reason = e.what();
     out.spent = e.spent();
     // Durable form of the recoverable abort: the salvaged frontiers (and
-    // any completed sets) go to disk, and the caller gets the path.  If
-    // this write fails, fall back to whatever the margin hook saved.
-    out.checkpoint_path = write_checkpoint(f, e.spent(),
-                                           /*include_live=*/false);
-    if (out.checkpoint_path.empty()) out.checkpoint_path = pending_checkpoint_;
+    // any completed sets) go to disk.  If this write fails, fall back to
+    // whatever the margin hook saved.
+    if (!dir.empty()) {
+      out.checkpoint_path =
+          write_checkpoint(dir, spec, e.spent(), /*include_live=*/false);
+    }
+    if (out.checkpoint_path.empty()) out.checkpoint_path = margin_path;
     diag::Registry::global().add_in("guard",
                                     std::string("unknown.") +
                                         guard::resource_name(e.resource()),
                                     1);
   }
-  salvaged_.clear();
+  mgr.clear_salvaged_frontiers();
   return out;
 }
 
-CheckOutcome Checker::check(const std::string& formula_text) {
-  return check(ctl::parse(formula_text));
+std::string Checker::write_checkpoint(const std::string& dir,
+                                      const ctl::Formula::Ptr& spec,
+                                      const guard::BudgetSpent& spent,
+                                      bool include_live) {
+  const bdd::Manager& mgr = ts_.manager();
+  persist::CheckSnapshotInput input;
+  input.system = &ts_;
+  input.model_name = options_.model_name;
+  input.spec = spec;
+  input.image_method = static_cast<std::uint8_t>(context_.method());
+  input.use_care_set = context_.care_requested();
+  input.coi = coi_requested_;
+  input.reorder = mgr.auto_reorder();
+  input.spent = spent;
+  if (ts_.reachable_computed()) input.reachable = ts_.reachable();
+  input.fair = fair_;
+  input.frontiers = mgr.salvaged_frontiers();
+  if (include_live) {
+    for (bdd::Frontier& f : mgr.live_frontiers()) {
+      input.frontiers.push_back(std::move(f));
+    }
+  }
+  const std::string path =
+      dir + "/" +
+      persist::checkpoint_basename(options_.model_name, ctl::to_string(spec),
+                                   ts_.fingerprint());
+  try {
+    persist::save_check_snapshot(path, input);
+  } catch (const std::exception&) {
+    // A failed checkpoint (disk full, injected io fault) must not mask
+    // the check verdict; the caller simply gets no resume point.
+    return {};
+  }
+  return path;
 }
+
+void Checker::seed_fair(const bdd::Bdd& fair) { fair_ = fair; }
 
 // ---------------------------------------------------------------------------
 // Plain CTL primitives
@@ -415,19 +325,12 @@ bdd::Bdd Checker::ex_raw(const bdd::Bdd& f) {
 
 bdd::Bdd Checker::eu_raw(const bdd::Bdd& f, const bdd::Bdd& g) {
   const bool diag_on = diag::enabled();
+  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "eu", {f, g});
   bdd::Bdd z = g;
-  std::uint64_t iteration = 0;
-  if (const auto seed = take_frontier("eu", {f, g})) {
-    z = seed->z;
-    iteration = seed->iteration;
-  }
-  LoopScope scope(*this, "eu", {f, g});
-  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "eu");
+  if (const bdd::Frontier* seed = fixpoint_guard.resumed()) z = seed->z;
   for (;;) {
-    scope.publish(z, iteration);
-    fixpoint_guard.tick();
+    fixpoint_guard.tick(z);
     ++stats_.eu_iterations;
-    ++iteration;
     if (diag_on) diag::Registry::global().add("fixpoint.eu_iterations");
     const bdd::Bdd znew = g | (f & ex_raw(z));
     if (znew == z) return z;
@@ -438,18 +341,14 @@ bdd::Bdd Checker::eu_raw(const bdd::Bdd& f, const bdd::Bdd& g) {
 std::vector<bdd::Bdd> Checker::eu_rings(const bdd::Bdd& f, const bdd::Bdd& g) {
   const bool diag_on = diag::enabled();
   std::vector<bdd::Bdd> rings{g};
-  std::uint64_t iteration = 0;
-  if (const auto seed = take_frontier("eu_rings", {f, g})) {
-    rings = seed->rings;
-    iteration = seed->iteration;
+  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "eu_rings", {f, g},
+                                    &rings);
+  if (bdd::Frontier* seed = fixpoint_guard.resumed()) {
+    rings = std::move(seed->rings);
   }
-  LoopScope scope(*this, "eu_rings", {f, g}, &rings);
-  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "eu_rings");
   for (;;) {
-    scope.publish(rings.back(), iteration);
-    fixpoint_guard.tick();
+    fixpoint_guard.tick(rings.back());
     ++stats_.eu_iterations;
-    ++iteration;
     if (diag_on) diag::Registry::global().add("fixpoint.eu_iterations");
     const bdd::Bdd znew = g | (f & ex_raw(rings.back()));
     if (znew == rings.back()) return rings;
@@ -459,19 +358,12 @@ std::vector<bdd::Bdd> Checker::eu_rings(const bdd::Bdd& f, const bdd::Bdd& g) {
 
 bdd::Bdd Checker::eg_raw(const bdd::Bdd& f) {
   const bool diag_on = diag::enabled();
+  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "eg", {f});
   bdd::Bdd z = f;
-  std::uint64_t iteration = 0;
-  if (const auto seed = take_frontier("eg", {f})) {
-    z = seed->z;
-    iteration = seed->iteration;
-  }
-  LoopScope scope(*this, "eg", {f});
-  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "eg");
+  if (const bdd::Frontier* seed = fixpoint_guard.resumed()) z = seed->z;
   for (;;) {
-    scope.publish(z, iteration);
-    fixpoint_guard.tick();
+    fixpoint_guard.tick(z);
     ++stats_.eg_iterations;
-    ++iteration;
     if (diag_on) diag::Registry::global().add("fixpoint.eg_iterations");
     const bdd::Bdd znew = f & ex_raw(z);
     if (znew == z) return z;
@@ -538,21 +430,15 @@ FairEG Checker::eg_with_rings(const bdd::Bdd& f,
   }
   // Outer greatest fixpoint.
   const bool diag_on = diag::enabled();
-  bdd::Bdd z = f;
-  std::uint64_t iteration = 0;
   std::vector<bdd::Bdd> outer_ops{f};
   outer_ops.insert(outer_ops.end(), constraints.begin(), constraints.end());
-  if (const auto seed = take_frontier("fair_eg_rings", outer_ops)) {
-    z = seed->z;
-    iteration = seed->iteration;
-  }
-  LoopScope scope(*this, "fair_eg_rings", std::move(outer_ops));
-  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "fair_eg_rings");
+  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "fair_eg_rings",
+                                    std::move(outer_ops));
+  bdd::Bdd z = f;
+  if (const bdd::Frontier* seed = fixpoint_guard.resumed()) z = seed->z;
   for (;;) {
-    scope.publish(z, iteration);
-    fixpoint_guard.tick();
+    fixpoint_guard.tick(z);
     ++stats_.eg_iterations;
-    ++iteration;
     if (diag_on) diag::Registry::global().add("fixpoint.eg_iterations");
     bdd::Bdd znew = f;
     for (const auto& h : constraints) {
@@ -580,37 +466,25 @@ FairEG Checker::eg_with_rings(const bdd::Bdd& f,
 // ---------------------------------------------------------------------------
 
 ResumedCheck resume_check(const std::string& path, const CheckOptions& extra) {
+  // `out` is declared first so it is destroyed last: once it owns the
+  // system, `snap`'s handles must die before their manager on every path.
+  ResumedCheck out;
   persist::CheckSnapshot snap = persist::load_check_snapshot(path);
   if (snap.image_method >
       static_cast<std::uint8_t>(ts::ImageMethod::kPartitioned)) {
     throw persist::SnapshotError(
         "meta", "unknown image method " + std::to_string(snap.image_method));
   }
-  ResumedCheck out;
   out.system = std::move(snap.system);
   out.spec = snap.spec;
   out.formula = snap.formula;
   out.model_name = snap.model_name;
   out.prior_spent = snap.spent;
 
-  // Completed sets install on the system before the checker runs anything;
-  // interrupted frontiers stage on the checker for the matching loops.
-  std::vector<persist::Frontier> checker_frontiers;
-  for (auto& f : snap.frontiers) {
-    if (f.loop == "reachable") {
-      if (f.rings.size() != 1) {
-        throw persist::SnapshotError(
-            "meta", "reachable frontier needs exactly one ring (the BFS "
-                    "frontier), found " +
-                        std::to_string(f.rings.size()));
-      }
-      out.system->seed_reachable(ts::TransitionSystem::ReachProgress{
-          f.z, f.rings[0], static_cast<std::size_t>(f.iteration)});
-    } else {
-      checker_frontiers.push_back(std::move(f));
-    }
-  }
+  // Completed sets install before anything runs; every interrupted
+  // frontier stages on the manager for the loop whose guard matches it.
   if (!snap.reachable.is_null()) out.system->install_reachable(snap.reachable);
+  out.system->manager().stage_frontiers(std::move(snap.frontiers));
 
   CheckOptions opts = extra;
   opts.image_method = static_cast<ts::ImageMethod>(snap.image_method);
@@ -620,7 +494,6 @@ ResumedCheck resume_check(const std::string& path, const CheckOptions& extra) {
   opts.model_name = snap.model_name;
   out.checker = std::make_unique<Checker>(*out.system, opts);
   if (!snap.fair.is_null()) out.checker->seed_fair(snap.fair);
-  out.checker->seed_frontiers(std::move(checker_frontiers));
   return out;
 }
 

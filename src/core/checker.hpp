@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,8 +42,6 @@ namespace symcex::core {
 struct CheckOptions {
   /// How preimages are computed (ablation: monolithic vs partitioned).
   ts::ImageMethod image_method = ts::ImageMethod::kMonolithic;
-  /// Memoise states() results per formula node (identity-based).
-  bool memoize = true;
   /// Simplify fixpoint operands and sweeps against the reachable care set
   /// (see EvalContext / DESIGN.md §9).  Unset reads SYMCEX_CARE_SET.
   std::optional<bool> use_care_set;
@@ -57,13 +56,6 @@ struct CheckOptions {
   /// certification, which always replays against the raw unreduced
   /// relation.  Unset reads SYMCEX_COI.
   std::optional<bool> coi;
-  /// Directory evidence bundles for checked results are written to.  The
-  /// checker core never writes files itself; this field is plumbing for
-  /// the drivers (examples/smv_check, tests) which pass it to
-  /// evidence::emit_files after each check.  Empty means "use the
-  /// SYMCEX_EVIDENCE_DIR environment variable" (evidence::default_dir());
-  /// both empty disables emission.
-  std::string evidence_dir;
   /// Directory crash-safe checkpoints (src/persist; DESIGN.md §13) are
   /// written to when a budgeted check exhausts its budget, and -- when a
   /// deadline budget is installed -- once shortly before the deadline
@@ -133,8 +125,6 @@ struct CheckOutcome {
   [[nodiscard]] bool known() const { return verdict != Verdict::kUnknown; }
 };
 
-class LoopScope;  // RAII frontier publisher (checker.cpp)
-
 /// The symbolic model checker.  Binds to one finalized TransitionSystem;
 /// fairness constraints registered on the system are honoured by the
 /// formula-level API and by ex()/eu()/eg().
@@ -159,8 +149,8 @@ class Checker {
   /// Parse + holds.
   [[nodiscard]] bool holds(const std::string& formula_text);
 
-  /// Budgeted holds(): catches guard::ResourceExhausted and returns a
-  /// three-valued outcome instead of propagating the crash.  Only
+  /// Budgeted holds() under run_checkpointed(): guard::ResourceExhausted
+  /// becomes a three-valued outcome instead of propagating the crash.  Only
   /// completed subformula results are memoized, so rerunning the same
   /// query after install_budget with a larger budget gives the correct
   /// verdict on this same checker and manager.
@@ -235,46 +225,24 @@ class Checker {
 
   // -- crash-safe checkpoint/resume (src/persist; DESIGN.md §13) -------------
 
-  /// The effective checkpoint directory: CheckOptions::checkpoint_dir, or
-  /// SYMCEX_CHECKPOINT_DIR when that is empty.  Empty = disabled.
-  [[nodiscard]] std::string checkpoint_dir() const;
-
-  /// Write a checkpoint for `spec` right now: the transition system, the
-  /// effective options, completed results (reachable set, fair states),
-  /// and the fixpoint frontiers -- salvaged ones after an abort, plus the
-  /// currently running loops when `include_live` is set (the deadline-
-  /// margin hook fires mid-fixpoint).  Returns the path, or "" when
-  /// checkpointing is disabled.  A checkpoint failure never masks the
-  /// check verdict: I/O errors are swallowed and "" is returned.
-  std::string write_checkpoint(const ctl::Formula::Ptr& spec,
-                               const guard::BudgetSpent& spent,
-                               bool include_live);
+  /// Run `body` -- one check of `spec`, which fills in the verdict (and,
+  /// for a witness-producing body, the trace and note) -- under the
+  /// checkpoint protocol.  With a checkpoint directory configured
+  /// (CheckOptions::checkpoint_dir, else SYMCEX_CHECKPOINT_DIR) a margin
+  /// hook snapshots the live fixpoint frontiers once, shortly before an
+  /// installed deadline expires.  guard::ResourceExhausted from `body`
+  /// becomes a kUnknown outcome with a checkpoint of the salvaged
+  /// frontiers (falling back to the margin snapshot when that write
+  /// fails; a failed write never masks the outcome); a completed run
+  /// deletes its margin snapshot.  The manager's salvaged frontiers are
+  /// cleared on entry and exit.
+  CheckOutcome run_checkpointed(
+      const ctl::Formula::Ptr& spec,
+      const std::function<void(CheckOutcome&)>& body);
 
   /// Install the completed fair-states set from a snapshot (resume path;
   /// skips recomputing CheckFairEG(true)).
   void seed_fair(const bdd::Bdd& fair);
-
-  /// Install interrupted fixpoint frontiers from a snapshot.  Each loop
-  /// (eu / eu_rings / eg / fair_eg_rings) consumes the frontier whose
-  /// operands match its own (canonicity makes that exact handle equality)
-  /// and continues from the saved iterate instead of its base case; a
-  /// monotone fixpoint continued from one of its own iterates converges
-  /// to the identical result, so the resumed verdict, trace, and evidence
-  /// bundle are byte-identical to an uninterrupted run's.
-  void seed_frontiers(std::vector<persist::Frontier> frontiers);
-
-  /// Clear the per-check crash-safe state (salvaged frontiers, margin
-  /// checkpoint path).  check() and Explainer::check call this on entry.
-  void reset_checkpoint_state();
-  /// Path the deadline-margin hook wrote during the current check, "" if
-  /// it never fired.  An aborted run falls back to this when the
-  /// abort-time checkpoint write itself fails.
-  [[nodiscard]] const std::string& pending_checkpoint() const {
-    return pending_checkpoint_;
-  }
-  /// Remove the margin checkpoint after a completed run (a known verdict
-  /// needs no resume point).
-  void discard_pending_checkpoint();
 
  private:
   ts::TransitionSystem& ts_;
@@ -304,35 +272,20 @@ class Checker {
   };
   std::vector<FairEGEntry> faireg_memo_;
 
-  // Crash-safe checkpoint state.  Every fixpoint loop keeps one LiveLoop
-  // entry on this stack, refreshed each iteration (two handle assigns);
-  // on exception unwind LoopScope moves the entry to salvaged_, and the
-  // deadline-margin hook reads the stack directly while the loops run.
-  struct LiveLoop {
-    const char* loop;                      // guard loop name ("eu", ...)
-    std::vector<bdd::Bdd> operands;        // the loop's inputs, for matching
-    bdd::Bdd z;                            // last completed iterate
-    const std::vector<bdd::Bdd>* rings;    // ring loops: the whole sequence
-    std::uint64_t iteration = 0;
-  };
-  std::vector<LiveLoop> live_loops_;
-  std::vector<persist::Frontier> salvaged_;
-  std::vector<persist::Frontier> resume_frontiers_;
-  std::string pending_checkpoint_;  // written by the margin hook this check
-
-  /// Pop and return the resume frontier matching (loop, operands), if any.
-  std::optional<persist::Frontier> take_frontier(
-      const char* loop, const std::vector<bdd::Bdd>& operands);
-  /// Collect the frontiers a checkpoint should carry (salvaged + reach
-  /// progress + optionally the live stack).
-  std::vector<persist::Frontier> collect_frontiers(bool include_live);
-
-  friend class LoopScope;
+  /// Write a checkpoint for `spec` into `dir`: the transition system, the
+  /// effective options, completed results (reachable set, fair states),
+  /// and the manager's salvaged frontiers plus, when `include_live` is
+  /// set, the running loops' ones.  Returns the path, or "" when the write
+  /// fails.
+  std::string write_checkpoint(const std::string& dir,
+                               const ctl::Formula::Ptr& spec,
+                               const guard::BudgetSpent& spent,
+                               bool include_live);
 };
 
 /// A check rehydrated from a crash-safe checkpoint: the rebuilt, verified
-/// transition system, a checker with the snapshot's options and seeds
-/// (completed sets installed, interrupted frontiers staged), and the
+/// transition system (completed sets installed, interrupted frontiers
+/// staged on its manager), a checker with the snapshot's options, and the
 /// specification to re-run.  `checker->check(spec)` continues the
 /// interrupted fixpoints from their saved iterates and produces a verdict,
 /// trace, and evidence bundle byte-identical to an uninterrupted run's.
@@ -346,8 +299,8 @@ struct ResumedCheck {
 };
 
 /// Load a checkpoint written by Checker/Explainer and stage the resume.
-/// `extra` supplies the options a snapshot does not store (memoize,
-/// evidence_dir, checkpoint_dir for re-checkpointing); the snapshot's own
+/// `extra` supplies the options a snapshot does not store (checkpoint_dir
+/// for re-checkpointing); the snapshot's own
 /// image method, care-set, COI, and reorder flags always win, so the
 /// resumed run replays the interrupted configuration.  Throws
 /// persist::SnapshotError on a corrupt or incompatible snapshot.

@@ -32,36 +32,15 @@ CheckOutcome Explainer::check(const std::string& spec_text) {
 }
 
 CheckOutcome Explainer::check(const Formula::Ptr& spec) {
-  CheckOutcome out;
-  checker_.reset_checkpoint_state();
-  // Same crash-safe checkpointing as Checker::check: a margin hook while
-  // the fixpoints run, a durable snapshot when the budget kills the run.
-  std::optional<guard::ScopedCheckpointHook> margin_hook;
-  if (!checker_.checkpoint_dir().empty()) {
-    margin_hook.emplace([this, &spec] {
-      (void)checker_.write_checkpoint(
-          spec, checker_.system().manager().budget_spent(),
-          /*include_live=*/true);
-    });
-  }
-  try {
+  CheckOutcome out = checker_.run_checkpointed(spec, [&](CheckOutcome& o) {
     Explanation explanation = explain(spec);
-    out.verdict = explanation.holds ? Verdict::kTrue : Verdict::kFalse;
-    out.trace = std::move(explanation.trace);
-    out.reason = std::move(explanation.note);
-    checker_.discard_pending_checkpoint();
-  } catch (const guard::ResourceExhausted& e) {
-    out.verdict = Verdict::kUnknown;
-    out.exhausted = e.resource();
-    out.reason = e.what();
-    out.spent = e.spent();
-    out.checkpoint_path =
-        checker_.write_checkpoint(spec, e.spent(), /*include_live=*/false);
-    if (out.checkpoint_path.empty()) {
-      out.checkpoint_path = checker_.pending_checkpoint();
-    }
-    // The witness generator may have salvaged a path prefix before the
-    // abort; surface it (it is certifiable as a prefix).
+    o.verdict = explanation.holds ? Verdict::kTrue : Verdict::kFalse;
+    o.trace = std::move(explanation.trace);
+    o.reason = std::move(explanation.note);
+  });
+  // The witness generator may have salvaged a path prefix before the
+  // abort; surface it (it is certifiable as a prefix).
+  if (!out.known()) {
     if (auto partial = generator_.take_partial()) {
       out.trace = std::move(partial);
       out.trace_is_partial = true;

@@ -56,10 +56,11 @@ class Explainer {
   [[nodiscard]] Explanation explain(const ctl::Formula::Ptr& spec);
   [[nodiscard]] Explanation explain(const std::string& spec_text);
 
-  /// Budgeted explain(): exhaustion comes back as CheckOutcome::kUnknown
-  /// (with reason and budget spent) instead of a thrown
-  /// guard::ResourceExhausted, and any partial trace prefix the witness
-  /// generator salvaged rides along with trace_is_partial set.
+  /// Budgeted explain() under Checker::run_checkpointed(): exhaustion
+  /// comes back as CheckOutcome::kUnknown (with reason, budget spent and
+  /// checkpoint) instead of a thrown guard::ResourceExhausted, and any
+  /// partial trace prefix the witness generator salvaged rides along with
+  /// trace_is_partial set.
   [[nodiscard]] CheckOutcome check(const ctl::Formula::Ptr& spec);
   [[nodiscard]] CheckOutcome check(const std::string& spec_text);
 

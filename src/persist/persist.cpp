@@ -1043,6 +1043,30 @@ CheckSnapshot load_check_snapshot(const std::string& path) {
   }
   frnt.expect_end();
 
+  // A resumed run installs the reachable set and continues the
+  // reachability loop from its record without recomputing either, so
+  // both must look like this system's own reachability state: init is
+  // inside the set, and a "reachable" record is {reached, [frontier]}
+  // with init and the frontier inside `reached`.
+  const Bdd& init = sys.init();
+  if (!out.reachable.is_null() && !init.implies(out.reachable)) {
+    throw SnapshotError("meta", "reachable set does not contain init");
+  }
+  for (const Frontier& f : out.frontiers) {
+    if (f.loop != "reachable") continue;
+    if (f.rings.size() != 1) {
+      throw SnapshotError("meta",
+                          "reachable frontier needs exactly one ring (the "
+                          "BFS frontier), found " +
+                              std::to_string(f.rings.size()));
+    }
+    if (!init.implies(f.z) || !f.rings[0].implies(f.z)) {
+      throw SnapshotError("meta",
+                          "reachable frontier is not an iterate of this "
+                          "system's reachability fixpoint");
+    }
+  }
+
   return out;
 }
 

@@ -75,18 +75,9 @@ class SnapshotError : public std::runtime_error {
   std::string check_;
 };
 
-/// One interrupted fixpoint loop, keyed by the guard loop name
-/// ("reachable", "eu", "eu_rings", "eg", "fair_eg") and its operands.
-/// On resume the matching loop starts from `z` (and `rings`) instead of
-/// its base case; because each saved iterate is one of the loop's own,
-/// the continued computation is identical to the uninterrupted one.
-struct Frontier {
-  std::string loop;
-  std::vector<bdd::Bdd> operands;
-  bdd::Bdd z;
-  std::vector<bdd::Bdd> rings;
-  std::uint64_t iteration = 0;
-};
+/// One interrupted fixpoint loop: the bdd-level record a FixpointGuard
+/// publishes, stored in the FRNT section.
+using Frontier = bdd::Frontier;
 
 /// Everything a check snapshot stores, in loaded (owning) form.  The
 /// transition system is freshly rebuilt -- finalized, schedules verified

@@ -67,8 +67,10 @@ ServedModel build_smv_model(std::string name, const std::string& source) {
 }
 
 ServedModel load_warm_model(const std::string& snapshot_path) {
-  persist::CheckSnapshot snapshot = persist::load_check_snapshot(snapshot_path);
+  // `m` is declared first so it is destroyed last: once it owns the
+  // system, `snapshot`'s handles must die before their manager.
   ServedModel m;
+  persist::CheckSnapshot snapshot = persist::load_check_snapshot(snapshot_path);
   m.name = snapshot.model_name;
   m.owned = std::move(snapshot.system);
   m.system = m.owned.get();

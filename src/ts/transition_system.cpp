@@ -529,53 +529,39 @@ const bdd::Bdd& TransitionSystem::reachable() const {
     const diag::TimerScope timer("reach.time");
     const bool diag_on = diag::enabled();
     bdd::Bdd reached = init_;
-    bdd::Bdd frontier = init_;
-    std::size_t iteration = 0;
-    if (reach_seed_.valid()) {
-      // Snapshot resume: continue the lfp from the saved iterate.  The
-      // seed is one of this fixpoint's own iterates, so the remaining
-      // computation is identical to what the interrupted run would have
-      // done -- same frontiers, same final set.
-      reached = reach_seed_.reached;
-      frontier = reach_seed_.frontier;
-      iteration = reach_seed_.iteration;
-      reach_seed_ = {};
+    std::vector<bdd::Bdd> frontier{init_};  // the record's one ring
+    // On exhaustion reachable_ stays null and the guard leaves the last
+    // completed iterate in the manager's salvaged records, for a
+    // checkpoint to save.  An in-process rerun starts over from init;
+    // only a staged record (snapshot resume) continues from an iterate.
+    bdd::FixpointGuard fixpoint_guard(*mgr_, "reachable", {}, &frontier);
+    if (bdd::Frontier* seed = fixpoint_guard.resumed()) {
+      if (seed->rings.size() != 1) {
+        throw std::invalid_argument(
+            "TransitionSystem::reachable: staged frontier needs one ring");
+      }
+      // The seed is one of this fixpoint's own iterates, so the
+      // remaining computation is identical to what the interrupted run
+      // would have done -- same frontiers, same final set.
+      reached = seed->z;
+      frontier = std::move(seed->rings);
     }
-    // Budget checkpoint per frontier step; on exhaustion reachable_ stays
-    // null but reach_progress_ holds the last completed iterate, so a
-    // rerun (raised budget, or a resumed snapshot) does not start over.
-    bdd::FixpointGuard fixpoint_guard(*mgr_, "reachable");
-    while (!frontier.is_false()) {
-      reach_progress_ = ReachProgress{reached, frontier, iteration};
-      fixpoint_guard.tick();
-      ++iteration;
+    while (!frontier[0].is_false()) {
+      fixpoint_guard.tick(reached);
       if (diag_on) diag::Registry::global().add("reach.iterations");
-      const bdd::Bdd img = image(frontier);
-      frontier = img - reached;
-      reached |= frontier;
+      // Assign the ring last: an exception from the image or the union
+      // leaves the published {reached, frontier} pair consistent.
+      const bdd::Bdd next = image(frontier[0]) - reached;
+      reached |= next;
+      frontier[0] = next;
     }
     reachable_ = reached;
-    reach_progress_ = {};
     if (diag_on) {
       diag::Registry::global().gauge_set(
           "reach.dag_size", static_cast<double>(reachable_.dag_size()));
     }
   }
   return reachable_;
-}
-
-void TransitionSystem::seed_reachable(const ReachProgress& seed) {
-  require_finalized("seed_reachable");
-  if (!seed.valid()) {
-    throw std::invalid_argument("TransitionSystem::seed_reachable: null seed");
-  }
-  if (!init_.implies(seed.reached) || !seed.frontier.implies(seed.reached)) {
-    throw std::invalid_argument(
-        "TransitionSystem::seed_reachable: seed is not an iterate of this "
-        "system's reachability fixpoint");
-  }
-  reach_seed_ = seed;
-  reachable_ = bdd::Bdd();
 }
 
 void TransitionSystem::install_reachable(const bdd::Bdd& reached) {
@@ -589,7 +575,6 @@ void TransitionSystem::install_reachable(const bdd::Bdd& reached) {
         "TransitionSystem::install_reachable: init not contained in the set");
   }
   reachable_ = reached;
-  reach_progress_ = {};
 }
 
 double TransitionSystem::count_states(const bdd::Bdd& set) const {

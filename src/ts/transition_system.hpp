@@ -198,42 +198,18 @@ class TransitionSystem {
       const bdd::Bdd& states, ImageMethod method = ImageMethod::kMonolithic,
       const DontCare* care = nullptr) const;
 
-  /// All states reachable from init (least fixpoint; cached).
+  /// All states reachable from init (least fixpoint; cached).  The loop
+  /// runs under the resumable FixpointGuard "reachable": its record is
+  /// {reached, [frontier]}, and a matching record staged on the manager
+  /// makes the fixpoint continue from a snapshot instead of init.
   [[nodiscard]] const bdd::Bdd& reachable() const;
   /// Number of states in a set (over the current rail).
   [[nodiscard]] double count_states(const bdd::Bdd& set) const;
-
-  // -- reachability progress (checkpoint/resume; src/persist) ----------------
-  // The reachability fixpoint is the single largest loss when a run
-  // aborts, so its in-flight state is observable and restorable: the loop
-  // publishes {reached, frontier, iteration} each iteration, and a seed
-  // installed before the computation makes the fixpoint continue from a
-  // snapshot instead of init.  Continuing a monotone lfp from any of its
-  // own iterates converges to the identical fixpoint (canonicity makes
-  // the equality literal), which is what makes resumed runs bit-identical.
-
-  struct ReachProgress {
-    bdd::Bdd reached;
-    bdd::Bdd frontier;
-    std::size_t iteration = 0;
-    [[nodiscard]] bool valid() const { return !reached.is_null(); }
-  };
 
   /// Has reachable() completed (the cached set exists)?
   [[nodiscard]] bool reachable_computed() const {
     return !reachable_.is_null();
   }
-  /// In-flight reachability state: valid while the fixpoint runs (updated
-  /// per iteration, read by the periodic checkpoint hook) and after an
-  /// aborted run (read by checkpoint-on-exhaustion); cleared on
-  /// completion.
-  [[nodiscard]] const ReachProgress& reach_progress() const {
-    return reach_progress_;
-  }
-  /// Continue the next reachable() call from `seed` instead of init
-  /// (snapshot resume).  The seed must come from a reach_progress() of
-  /// the same system.
-  void seed_reachable(const ReachProgress& seed);
   /// Install a completed reachable set (snapshot resume).  Validated
   /// cheaply: init must be contained in it.
   void install_reachable(const bdd::Bdd& reached);
@@ -325,8 +301,6 @@ class TransitionSystem {
 
   mutable bdd::Bdd trans_;        // cached monolithic relation
   mutable bdd::Bdd reachable_;    // cached reachable set
-  mutable ReachProgress reach_progress_;  // in-flight / aborted fixpoint
-  mutable ReachProgress reach_seed_;      // resume seed, consumed by reachable()
 };
 
 }  // namespace symcex::ts

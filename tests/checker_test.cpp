@@ -80,11 +80,6 @@ TEST_F(SmallModel, MemoizationIsSound) {
   EXPECT_EQ(ck.states(f), ck.states(f));
   // Distinct formulas parsed from identical text also agree.
   EXPECT_EQ(ck.states(ctl::parse("EF y")), ck.states(ctl::parse("EF y")));
-  // And memoization can be disabled.
-  CheckOptions options;
-  options.memoize = false;
-  Checker ck2(m_, options);
-  EXPECT_EQ(ck2.states(f), ck.states(f));
 }
 
 TEST_F(SmallModel, RequiresFinalizedSystem) {

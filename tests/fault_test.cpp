@@ -184,7 +184,11 @@ TEST(FaultKernel, FixpointSiteInterruptsReachability) {
   }
   EXPECT_EQ(sys.manager().audit_check(), "");
   // The interrupted fixpoint left a resumable frontier behind...
-  EXPECT_TRUE(sys.reach_progress().valid());
+  const auto& salvaged = sys.manager().salvaged_frontiers();
+  ASSERT_EQ(salvaged.size(), 1u);
+  EXPECT_EQ(salvaged[0].loop, "reachable");
+  EXPECT_FALSE(salvaged[0].z.is_null());
+  EXPECT_EQ(salvaged[0].rings.size(), 1u);
   // ...and the clean rerun still converges to all 16 states.
   const Bdd reached = sys.reachable();
   EXPECT_EQ(reached, sys.manager().one());

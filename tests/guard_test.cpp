@@ -5,8 +5,10 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -269,6 +271,60 @@ TEST(FixpointGuardTest, UnlimitedBudgetNeverTrips) {
   bdd::FixpointGuard fixpoint_guard(m, "free-loop");
   for (int i = 0; i < 1000; ++i) EXPECT_NO_THROW(fixpoint_guard.tick());
   EXPECT_EQ(fixpoint_guard.iterations(), 1000u);
+}
+
+// A resumable guard's record: live while the loop runs, salvaged when it
+// unwinds, and taken back by the next guard with the same name and
+// operands, which continues the iteration numbering.
+TEST(FixpointGuardTest, ResumableRecordIsLiveThenSalvagedThenResumed) {
+  bdd::Manager m{4};
+  const bdd::Bdd op = m.var(0);
+  const bdd::Bdd z1 = m.var(1);
+  const bdd::Bdd z2 = m.var(2);
+  std::vector<bdd::Bdd> rings{z1};
+  try {
+    bdd::FixpointGuard loop(m, "loop", {op}, &rings);
+    EXPECT_EQ(loop.resumed(), nullptr);
+    EXPECT_TRUE(m.live_frontiers().empty());  // nothing completed yet
+    loop.tick(z1);
+    rings.push_back(z2);
+    loop.tick(z2);
+    const std::vector<bdd::Frontier> live = m.live_frontiers();
+    EXPECT_EQ(live.size(), 1u);
+    EXPECT_EQ(live[0].loop, "loop");
+    EXPECT_EQ(live[0].z, z2);
+    EXPECT_EQ(live[0].iteration, 1u);
+    EXPECT_EQ(live[0].rings, rings);
+    throw std::runtime_error("abort");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_TRUE(m.live_frontiers().empty());
+  ASSERT_EQ(m.salvaged_frontiers().size(), 1u);
+  const bdd::Frontier salvaged = m.salvaged_frontiers()[0];
+  EXPECT_EQ(salvaged.z, z2);
+  EXPECT_EQ(salvaged.rings, rings);
+
+  // A loop that completes normally leaves nothing behind.
+  {
+    bdd::FixpointGuard done(m, "loop", {op});
+    done.tick(z1);
+  }
+  EXPECT_EQ(m.salvaged_frontiers().size(), 1u);
+
+  m.clear_salvaged_frontiers();
+  m.stage_frontiers({salvaged});
+  {
+    // Different operands: no match.
+    bdd::FixpointGuard other(m, "loop", {z1});
+    EXPECT_EQ(other.resumed(), nullptr);
+  }
+  bdd::FixpointGuard again(m, "loop", {op});
+  ASSERT_NE(again.resumed(), nullptr);
+  EXPECT_EQ(again.resumed()->z, z2);
+  again.tick(z2);
+  EXPECT_EQ(m.live_frontiers().at(0).iteration, 1u);
+  again.tick(z2);
+  EXPECT_EQ(m.live_frontiers().at(0).iteration, 2u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // injected I/O faults exercise both failure directions of the disk path.
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -225,6 +226,86 @@ TEST(CheckSnapshot, CompletedCheckDiscardsItsMarginCheckpoint) {
   EXPECT_FALSE(probe.good()) << would_be << " should not exist";
 }
 
+/// A deadline budget whose checkpoint margin covers the whole deadline,
+/// so the margin hook fires at the first cooperative checkpoint.
+void install_margin_deadline(Manager& m) {
+  ::setenv("SYMCEX_CHECKPOINT_MARGIN_MS", "600000", 1);
+  guard::ResourceBudget budget;
+  budget.deadline_ms = 600000;
+  m.install_budget(budget);
+  ::unsetenv("SYMCEX_CHECKPOINT_MARGIN_MS");
+}
+
+TEST(CheckSnapshot, MarginCheckpointFiresThenCompletedRunDeletesIt) {
+  const std::string dir = fresh_dir("margin_done");
+  auto ts = models::counter({.width = 4});
+  install_margin_deadline(ts->manager());
+  core::CheckOptions opt;
+  opt.checkpoint_dir = dir;
+  opt.model_name = "counter";
+  core::Checker ck(*ts, opt);
+  auto& injector = guard::FaultInjector::instance();
+  // Arm a fault that never fires so the persist-write probes count.
+  FaultGuard counting("io-fail@persist-read:1000000");
+  const std::size_t writes = injector.probes(guard::FaultKind::kIoShortWrite);
+  const core::CheckOutcome out = ck.check("AG EF zero");
+  EXPECT_EQ(out.verdict, core::Verdict::kTrue);
+  EXPECT_TRUE(out.checkpoint_path.empty());
+  EXPECT_GT(injector.probes(guard::FaultKind::kIoShortWrite), writes)
+      << "the margin hook never wrote";
+  const std::string path =
+      dir + "/" +
+      persist::checkpoint_basename("counter", "AG EF zero", ts->fingerprint());
+  EXPECT_FALSE(std::ifstream(path, std::ios::binary).good())
+      << path << " should have been deleted";
+}
+
+TEST(CheckSnapshot, MarginCheckpointIsTheFallbackAndResumes) {
+  const std::string dir = fresh_dir("margin_fallback");
+  auto& injector = guard::FaultInjector::instance();
+  // How many persist-write probes one check snapshot takes.
+  std::uint64_t writes_per_save = 0;
+  {
+    auto ts = models::counter({.width = 4});
+    persist::CheckSnapshotInput input;
+    input.system = ts.get();
+    input.spec = ctl::parse("AG EF zero");
+    FaultGuard counting("io-fail@persist-read:1000000");
+    const std::size_t before =
+        injector.probes(guard::FaultKind::kIoShortWrite);
+    persist::save_check_snapshot(dir + "/calibrate.sxsnap", input);
+    writes_per_save =
+        injector.probes(guard::FaultKind::kIoShortWrite) - before;
+  }
+  ASSERT_GT(writes_per_save, 0u);
+
+  // The margin snapshot (live frontiers) is written first; the abort-time
+  // write then fails, so the outcome falls back to the margin snapshot.
+  std::string path;
+  {
+    auto ts = models::counter({.width = 4});
+    install_margin_deadline(ts->manager());
+    core::CheckOptions opt;
+    opt.checkpoint_dir = dir;
+    opt.model_name = "counter";
+    core::Checker ck(*ts, opt);
+    FaultGuard fault("deadline@eu:3,io-short-write@persist-write:" +
+                     std::to_string(writes_per_save + 1));
+    const core::CheckOutcome out = ck.check("AG EF zero");
+    ASSERT_EQ(out.verdict, core::Verdict::kUnknown);
+    ASSERT_FALSE(out.checkpoint_path.empty());
+    EXPECT_EQ(injector.armed_entries(), 0u) << "abort-time write never failed";
+    path = out.checkpoint_path;
+  }
+  const persist::CheckSnapshot snap = persist::load_check_snapshot(path);
+  EXPECT_FALSE(snap.frontiers.empty()) << "no live frontier in the margin";
+
+  core::ResumedCheck resumed = core::resume_check(path);
+  EXPECT_EQ(resumed.checker->check(resumed.spec).verdict,
+            core::Verdict::kTrue);
+  EXPECT_EQ(resumed.system->manager().audit_check(), "");
+}
+
 TEST(CheckSnapshot, GoldenV1StaysLoadable) {
   const persist::CheckSnapshot snap = persist::load_check_snapshot(
       std::string(SYMCEX_GOLDEN_DIR) + "/check_v1.sxsnap");
@@ -301,6 +382,23 @@ constexpr CorpusEntry kCorpus[] = {
     // Cut mid-payload: the intact length field now exceeds the bytes
     // that remain, which the bounds check reports as oversized.
     {"truncated.sxsnap", "oversized-length", "oversized-length"},
+    // Checksum-valid check snapshots of models::counter({.width = 4})
+    // whose reachability state cannot belong to that system: the loader's
+    // semantic checks reject them before a resume could install them.
+    // reachable = !init:
+    {"reachable-misses-init.sxsnap", nullptr, "meta"},
+    // a "reachable" frontier with z = rings[0] = !init:
+    {"reach-frontier-misses-init.sxsnap", nullptr, "meta"},
+    // a "reachable" frontier with two rings:
+    {"reach-frontier-two-rings.sxsnap", nullptr, "meta"},
+};
+
+/// The corpus files that pass container validation but describe a
+/// reachability state the loader rejects.
+constexpr const char* kSemanticCorpus[] = {
+    "reachable-misses-init.sxsnap",
+    "reach-frontier-misses-init.sxsnap",
+    "reach-frontier-two-rings.sxsnap",
 };
 
 TEST(CorruptCorpus, EveryFileRejectedWithItsTypedError) {
@@ -326,6 +424,21 @@ TEST(CorruptCorpus, EveryFileRejectedWithItsTypedError) {
       FAIL() << entry.file << ": loader accepted a corrupt file";
     } catch (const persist::SnapshotError& e) {
       EXPECT_EQ(e.check(), entry.load_check) << entry.file;
+    }
+  }
+}
+
+// The resume path must surface the loader's rejection as a typed error,
+// with no handle outliving its manager on the way out.
+TEST(CorruptCorpus, ResumeCheckRejectsBadReachabilityState) {
+  for (const char* file : kSemanticCorpus) {
+    const std::string path =
+        std::string(SYMCEX_GOLDEN_DIR) + "/corrupt/" + file;
+    try {
+      (void)core::resume_check(path);
+      FAIL() << file << ": resume_check accepted a corrupt file";
+    } catch (const persist::SnapshotError& e) {
+      EXPECT_EQ(e.check(), "meta") << file;
     }
   }
 }

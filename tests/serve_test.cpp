@@ -23,6 +23,7 @@
 #include "guard/fault.hpp"
 #include "json_mini.hpp"
 #include "models/models.hpp"
+#include "persist/persist.hpp"
 #include "serve/serve.hpp"
 
 #ifndef SYMCEX_VERIFY_BIN
@@ -531,6 +532,21 @@ TEST(ServeDaemon, WarmSnapshotStartsAResidentSession) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.verdict, "true");
   EXPECT_EQ(live.server.stats().sessions, 1u);
+}
+
+TEST(ServeDaemon, WarmModelRejectsBadReachabilityState) {
+  for (const char* file :
+       {"reachable-misses-init.sxsnap", "reach-frontier-misses-init.sxsnap",
+        "reach-frontier-two-rings.sxsnap"}) {
+    const std::string path =
+        std::string(SYMCEX_GOLDEN_DIR) + "/corrupt/" + file;
+    try {
+      (void)serve::load_warm_model(path);
+      FAIL() << file << ": load_warm_model accepted a corrupt file";
+    } catch (const persist::SnapshotError& e) {
+      EXPECT_EQ(e.check(), "meta") << file;
+    }
+  }
 }
 
 }  // namespace
