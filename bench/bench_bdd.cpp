@@ -6,7 +6,9 @@
 //     conjoin-then-quantify pipeline (DESIGN.md ablation),
 //   * symbolic reachability on n-bit counters (image iteration scaling),
 //   * monolithic vs conjunctively-partitioned image computation
-//     (DESIGN.md ablation) on the dining-philosophers models.
+//     (DESIGN.md ablation) on the dining-philosophers models,
+//   * what a fresh manager costs, and a sweep over the computed-cache
+//     ceiling (ManagerOptions::cache_log2_size) on deep and wide checks.
 
 #include <random>
 
@@ -15,6 +17,7 @@
 #include "bench_util.hpp"
 
 #include "bdd/bdd.hpp"
+#include "core/checker.hpp"
 #include "models/models.hpp"
 #include "ts/transition_system.hpp"
 
@@ -249,6 +252,63 @@ void BM_GarbageCollection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GarbageCollection);
+
+/// The fixed cost of a small check: build a manager and a 10-bit counter,
+/// then run one check.  A manager's tables are sized to its live nodes, so
+/// this is mostly the check, not zero-filling an empty computed cache.
+void BM_FreshManager(benchmark::State& state) {
+  for (auto _ : state) {
+    auto m = models::counter({.width = 10});
+    core::Checker checker(*m);
+    benchmark::DoNotOptimize(checker.holds("AG EF zero"));
+    state.counters["memory_kib"] =
+        static_cast<double>(m->manager().memory_bytes()) / 1024.0;
+  }
+}
+BENCHMARK(BM_FreshManager)->Unit(benchmark::kMillisecond);
+
+void report_cache(benchmark::State& state, const bdd::Manager& m) {
+  const bdd::ManagerStats& s = m.stats();
+  state.counters["cache_lookups"] = static_cast<double>(s.cache_lookups);
+  state.counters["hit_ratio"] = static_cast<double>(s.cache_hits) /
+                                static_cast<double>(s.cache_lookups);
+  state.counters["growths"] = static_cast<double>(s.cache_growths);
+  state.counters["peak_nodes"] = static_cast<double>(s.peak_nodes);
+  state.counters["memory_kib"] =
+      static_cast<double>(m.memory_bytes()) / 1024.0;
+}
+
+/// Computed-cache ceiling sweep, 2^12 to 2^20 slots.  Deep: counter-14
+/// reachability, 16384 small image steps.  Wide: round_robin-12
+/// AG (req8 -> AF gnt8), a fair-EG check over a large relation.  The cache
+/// only grows while live nodes exceed its slot count, so a ceiling above
+/// what the workload's live nodes reach leaves the run unchanged.
+void BM_CacheCeilingCounterReach(benchmark::State& state) {
+  bdd::ManagerOptions options;
+  options.cache_log2_size = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    auto m = models::counter({.width = 14, .manager = options});
+    benchmark::DoNotOptimize(m->reachable());
+    report_cache(state, m->manager());
+  }
+}
+BENCHMARK(BM_CacheCeilingCounterReach)
+    ->DenseRange(12, 20)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CacheCeilingRoundRobin(benchmark::State& state) {
+  bdd::ManagerOptions options;
+  options.cache_log2_size = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    auto m = models::round_robin_arbiter({.users = 12, .manager = options});
+    core::Checker checker(*m);
+    benchmark::DoNotOptimize(checker.holds("AG (req8 -> AF gnt8)"));
+    report_cache(state, m->manager());
+  }
+}
+BENCHMARK(BM_CacheCeilingRoundRobin)
+    ->DenseRange(12, 20)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -14,6 +14,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include <sys/mman.h>
+
 #include "diag/metrics.hpp"
 #include "guard/fault.hpp"
 
@@ -363,13 +365,11 @@ Manager::Manager(std::uint32_t num_vars, const ManagerOptions& options)
   stats_.live_nodes = live_nodes_;
   stats_.peak_nodes = live_nodes_;
   buckets_.assign(1u << 12, kNil);
-  // Fault site "cache": the computed cache is the largest single
-  // allocation a fresh manager makes; its failure surfaces as the same
-  // bad_alloc a real exhaustion would raise from assign().
-  if (guard::fault_fire(guard::FaultKind::kAlloc, "cache")) {
-    throw std::bad_alloc{};
-  }
-  cache_.assign(std::size_t{1} << options.cache_log2_size, CacheEntry{});
+  // The computed cache starts small and grows with the live nodes (mk), so
+  // a manager that stays small never pays for the ceiling's table.
+  cache_max_slots_ = std::size_t{1} << options.cache_log2_size;
+  cache_.assign(std::min(cache_max_slots_, std::size_t{1} << 12),
+                CacheEntry{});
   for (std::uint32_t i = 0; i < num_vars; ++i) new_var();
   // Dynamic reordering is opt-in: SYMCEX_REORDER arms the growth trigger
   // for every manager; CheckOptions::reorder overrides per checker.
@@ -403,6 +403,7 @@ void Manager::fold_stats_into_diag(diag::Registry& r) const {
   r.add_in(kPhase, "gc_reclaimed", stats_.gc_reclaimed);
   r.add_in(kPhase, "cache_clears", stats_.cache_clears);
   r.add_in(kPhase, "table_growths", stats_.table_growths);
+  r.add_in(kPhase, "cache_growths", stats_.cache_growths);
   r.add_in(kPhase, "unique_hits", stats_.unique_hits);
   r.add_in(kPhase, "unique_misses", stats_.unique_misses);
   r.add_in(kPhase, "cache_hits", stats_.cache_hits);
@@ -536,7 +537,33 @@ std::uint32_t Manager::mk(std::uint32_t var, std::uint32_t lo,
   stats_.live_nodes = live_nodes_;
   stats_.peak_nodes = std::max(stats_.peak_nodes, live_nodes_);
   if (live_nodes_ > 4 * buckets_.size()) grow_table();
+  if (live_nodes_ > cache_.size() && cache_.size() < cache_max_slots_) {
+    grow_cache();
+  }
   return idx;
+}
+
+void Manager::grow_cache() {
+  const std::size_t size = cache_.size();
+  try {
+    // Fault site "cache": the Nth growth fails before anything is freed.
+    if (guard::fault_fire(guard::FaultKind::kAlloc, "cache")) {
+      throw std::bad_alloc{};
+    }
+    // Free first, so a growth never holds two tables at once.  Growing in
+    // the middle of a kernel is safe: the cache is a pure memo, so the
+    // kernel only loses hits.
+    std::vector<CacheEntry, CacheAllocator>().swap(cache_);
+    cache_.assign(2 * size, CacheEntry{});
+    ++stats_.cache_growths;
+  } catch (const std::bad_alloc&) {
+    // Keep the current size from now on: mk must not throw for a table
+    // whose loss costs only hits.  A real failure re-takes the block it
+    // just released.
+    ++stats_.alloc_failures;
+    cache_max_slots_ = size;
+    if (cache_.empty()) cache_.assign(size, CacheEntry{});
+  }
 }
 
 void Manager::grow_table() {
@@ -1455,6 +1482,18 @@ void FixpointGuard::tick() {
 // ---------------------------------------------------------------------------
 // Computed cache
 // ---------------------------------------------------------------------------
+
+Manager::CacheEntry* Manager::CacheAllocator::allocate(std::size_t n) {
+  void* p = mmap(nullptr, n * sizeof(CacheEntry), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc{};
+  return static_cast<CacheEntry*>(p);
+}
+
+void Manager::CacheAllocator::deallocate(CacheEntry* p,
+                                         std::size_t n) noexcept {
+  munmap(p, n * sizeof(CacheEntry));
+}
 
 bool Manager::cache_get(std::uint32_t op, std::uint32_t f, std::uint32_t g,
                         std::uint32_t h, std::uint32_t& out) {

@@ -213,6 +213,7 @@ struct ManagerStats {
   std::uint64_t gc_pause_ns = 0;   ///< total wall time spent inside gc()
   std::size_t cache_clears = 0;    ///< computed-cache invalidations (by GC)
   std::size_t table_growths = 0;   ///< unique-table rehash/grow events
+  std::size_t cache_growths = 0;   ///< computed-cache doublings
   std::size_t unique_hits = 0;     ///< mk() found an existing node
   std::size_t unique_misses = 0;   ///< mk() created a node
   std::size_t cache_hits = 0;      ///< computed-cache hits
@@ -256,7 +257,12 @@ struct Frontier {
 
 /// Tuning knobs for a Manager.
 struct ManagerOptions {
-  /// log2 of the computed-cache slot count.
+  /// log2 of the computed cache's largest slot count.  The cache starts at
+  /// 2^12 slots (or this ceiling, if smaller) and mk() doubles it whenever
+  /// live nodes exceed the slot count, until it reaches the ceiling.  A
+  /// growth frees the old table before allocating the new one (the cache
+  /// forgets its entries); after a failed growth the cache keeps its
+  /// current size.
   std::uint32_t cache_log2_size = 18;
   /// Run GC when this many nodes are live; doubles when GC is ineffective.
   std::size_t gc_threshold = 1u << 18;
@@ -550,6 +556,20 @@ class Manager {
     bool valid = false;
   };
 
+  /// Allocates computed-cache tables straight from the OS and returns the
+  /// pages on deallocate (bdd.cpp).  A table that grows by doubling would
+  /// otherwise leave its freed predecessors resident in the malloc heap.
+  struct CacheAllocator {
+    using value_type = CacheEntry;
+    template <typename U>
+    struct rebind {
+      using other = CacheAllocator;
+    };
+    [[nodiscard]] CacheEntry* allocate(std::size_t n);
+    void deallocate(CacheEntry* p, std::size_t n) noexcept;
+    bool operator==(const CacheAllocator&) const = default;
+  };
+
   enum Op : std::uint32_t {
     kOpNot = 1,
     kOpAnd,
@@ -579,6 +599,8 @@ class Manager {
     return v >= num_vars_ ? v : var2level_[v];
   }
   void grow_table();
+  /// Double the computed cache (see ManagerOptions::cache_log2_size).
+  void grow_cache();
   [[nodiscard]] std::size_t bucket_of(std::uint32_t var, std::uint32_t lo,
                                       std::uint32_t hi) const;
   void maybe_collect();
@@ -683,7 +705,8 @@ class Manager {
   int diag_source_id_ = -1;  // registration with diag::Registry::global()
 
   // Computed cache and kernel recursion state.
-  std::vector<CacheEntry> cache_;
+  std::vector<CacheEntry, CacheAllocator> cache_;
+  std::size_t cache_max_slots_ = 0;  // growth ceiling (ManagerOptions)
   std::size_t depth_ = 0;   // live guarded kernel frames
   std::uint32_t poll_ = 0;  // deadline poll tick (see Frame)
 

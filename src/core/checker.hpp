@@ -260,9 +260,22 @@ class Checker {
   bool coi_prepared_ = false;        // prepare() ran at least once
   std::unique_ptr<analyze::Reduction> reduction_;
   bdd::Bdd fair_;  // cache of fair_states()
-  // Keyed on shared_ptr (not raw pointer): holding the node alive keeps
-  // its address from being recycled by a later formula's allocation.
-  std::unordered_map<ctl::Formula::Ptr, bdd::Bdd> memo_;
+  // Keyed on structure, not identity: check and explain each build their
+  // own existential-normal-form tree, and a resident session parses every
+  // job's spec afresh, so an identity key would never hit across them.
+  struct FormulaHash {
+    std::size_t operator()(const ctl::Formula::Ptr& f) const {
+      return static_cast<std::size_t>(ctl::formula_hash(f));
+    }
+  };
+  struct FormulaEqual {
+    bool operator()(const ctl::Formula::Ptr& a,
+                    const ctl::Formula::Ptr& b) const {
+      return ctl::equal(a, b);
+    }
+  };
+  std::unordered_map<ctl::Formula::Ptr, bdd::Bdd, FormulaHash, FormulaEqual>
+      memo_;
   // FairEG memo keyed on (formula BDD, constraint set): check-then-explain
   // and fair_states()/fair-true witnesses share one fair-EG computation.
   struct FairEGEntry {

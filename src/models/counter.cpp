@@ -13,7 +13,7 @@ std::unique_ptr<ts::TransitionSystem> counter(const CounterOptions& options) {
        options.modulus > (std::uint64_t{1} << options.width))) {
     throw std::invalid_argument("counter: modulus must be in 2..2^width");
   }
-  auto m = std::make_unique<ts::TransitionSystem>();
+  auto m = std::make_unique<ts::TransitionSystem>(options.manager);
   const std::vector<ts::VarId> bits = m->add_vector("b", options.width);
   ts::VarId ticked = 0;
   if (options.stutter) ticked = m->add_var("ticked");

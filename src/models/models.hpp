@@ -58,6 +58,8 @@ struct CounterOptions {
   /// counter a proper reachable care set -- the shape the don't-care
   /// simplification benchmarks need.  Must be >= 2 when nonzero.
   std::uint64_t modulus = 0;
+  /// Tuning of the model's BDD manager (benches sweep the cache ceiling).
+  bdd::ManagerOptions manager = {};
 };
 
 /// n-bit wrap-around counter.  Labels: zero, max, ticked (if stutter).
@@ -108,6 +110,8 @@ struct RoundRobinOptions {
   /// Grant the token holder only while it requests; rotate otherwise.
   /// false reproduces the camping bug: the holder keeps the token forever.
   bool rotate = true;
+  /// Tuning of the model's BDD manager (benches sweep the cache ceiling).
+  bdd::ManagerOptions manager = {};
 };
 
 /// A scalable n-user round-robin arbiter: a token selects whose request is

@@ -12,7 +12,7 @@ std::unique_ptr<ts::TransitionSystem> round_robin_arbiter(
   if (n < 2 || n > 32) {
     throw std::invalid_argument("round_robin_arbiter: users must be in 2..32");
   }
-  auto m = std::make_unique<ts::TransitionSystem>();
+  auto m = std::make_unique<ts::TransitionSystem>(options.manager);
   std::vector<ts::VarId> req;
   req.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -392,6 +392,62 @@ TEST(BddStressTest, TinyComputedCacheStaysCorrect) {
   EXPECT_EQ(from_small.sat_count(10), from_big.sat_count(10));
 }
 
+TEST(BddCacheGrowthTest, FreshManagerIsSmall) {
+  // The computed cache starts at 2^12 slots, not at its 2^18 ceiling.
+  for (const std::uint32_t vars : {0u, 8u, 64u}) {
+    const Manager fresh(vars);
+    EXPECT_LT(fresh.memory_bytes(), std::size_t{256} << 10) << vars;
+    EXPECT_EQ(fresh.stats().cache_growths, 0u);
+  }
+}
+
+/// x_i <-> y_i for i < pairs, with every x above every y: the conjunction
+/// must remember all x values, so its BDD has about 3 * 2^pairs nodes and
+/// the and-kernels that build it push live nodes past each cache size.
+/// `after_op` runs after every top-level operation.
+Bdd separated_equality(Manager& m, std::uint32_t pairs,
+                       const std::function<void()>& after_op = [] {}) {
+  Bdd acc = m.one();
+  for (std::uint32_t i = 0; i < pairs; ++i) {
+    acc &= !(m.var(i) ^ m.var(pairs + i));
+    after_op();
+  }
+  return acc;
+}
+
+TEST(BddCacheGrowthTest, GrowsThroughEveryDoublingAndStaysCorrect) {
+  constexpr std::uint32_t kPairs = 16;
+  ManagerOptions tiny;
+  tiny.cache_log2_size = 4;
+  Manager capped(2 * kPairs, tiny);
+  Manager grown(2 * kPairs);
+  std::size_t growths_seen = 0;
+  const Bdd from_grown = separated_equality(grown, kPairs, [&] {
+    if (grown.stats().cache_growths == growths_seen) return;
+    growths_seen = grown.stats().cache_growths;
+    EXPECT_EQ(grown.audit_check(), "") << "after growth " << growths_seen;
+  });
+  const Bdd from_capped = separated_equality(capped, kPairs);
+  // 2^12 -> 2^18: six doublings, each inside a conjunction's kernel.
+  EXPECT_EQ(grown.stats().cache_growths, 6u);
+  EXPECT_EQ(capped.stats().cache_growths, 0u);
+  EXPECT_EQ(grown.stats().alloc_failures, 0u);
+  // Same order, canonical ROBDDs: equal functions have equal DAGs.
+  EXPECT_EQ(from_grown.dag_size(), from_capped.dag_size());
+  EXPECT_EQ(from_grown.sat_count(2 * kPairs), from_capped.sat_count(2 * kPairs));
+  std::mt19937 rng(17);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<bool> a(2 * kPairs);
+    for (std::uint32_t v = 0; v < kPairs; ++v) {
+      a[v] = (rng() & 1) != 0;
+      // Mostly equal pairs, so both outcomes are sampled.
+      a[kPairs + v] = (rng() % 64 == 0) ? !a[v] : a[v];
+    }
+    EXPECT_EQ(from_grown.eval(a), from_capped.eval(a)) << "round " << round;
+  }
+  EXPECT_EQ(capped.audit_check(), "");
+}
+
 TEST_F(BddTest, ConstrainAgreesOnTheCareSet) {
   std::mt19937 rng(21);
   for (int round = 0; round < 40; ++round) {

@@ -153,6 +153,32 @@ TEST(ExplainTest, AuCounterexample) {
   expect_well_formed(e, *m);
 }
 
+TEST(ExplainTest, ExplainReusesTheCheckFixpoints) {
+  // Check and explain each build their own normal-form tree; the checker's
+  // memo is keyed on structure, so explaining after a check (and checking
+  // a re-parsed spec again, as a resident serve session does) runs no
+  // fixpoint iteration beyond the check's own.
+  auto m = models::counter({.width = 12});
+  struct Case {
+    const char* spec;
+    std::size_t CheckStats::*loop;  // the loop the spec's fixpoint runs
+  };
+  for (const Case& c : {Case{"AG EF zero", &CheckStats::eu_iterations},
+                        Case{"AG AF max", &CheckStats::eg_iterations}}) {
+    const char* spec = c.spec;
+    Checker ck(*m);
+    EXPECT_EQ(ck.check(spec).verdict, Verdict::kTrue) << spec;
+    const CheckStats after_check = ck.stats();
+    EXPECT_EQ(after_check.*c.loop, 4097u) << spec;
+    Explainer ex(ck);
+    EXPECT_TRUE(ex.explain(spec).holds) << spec;
+    EXPECT_EQ(ex.check(spec).verdict, Verdict::kTrue) << spec;
+    EXPECT_EQ(ck.check(spec).verdict, Verdict::kTrue) << spec;
+    EXPECT_EQ(ck.stats().eu_iterations, after_check.eu_iterations) << spec;
+    EXPECT_EQ(ck.stats().eg_iterations, after_check.eg_iterations) << spec;
+  }
+}
+
 TEST(ExplainTest, ParseErrorsPropagate) {
   auto m = models::counter({.width = 2});
   Checker ck(*m);

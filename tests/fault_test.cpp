@@ -1,8 +1,9 @@
 // Deterministic fault-injection tests (src/guard/fault; DESIGN.md
 // section 13): the spec grammar, countdown and site-matching semantics,
 // probe suspension, and -- the point of the harness -- the kernel's
-// recovery paths driven by injected failures: mk's GC-and-retry,
-// run_apply's recover-and-rethrow, and the reorder session teardown
+// recovery paths driven by injected failures: mk's GC-and-retry, the
+// computed cache's failed growth, run_apply's recover-and-rethrow, and the
+// reorder session teardown
 // (abort_reorder_session / recover_after_abort) that PR 8's satellite
 // regression pins down.
 
@@ -152,6 +153,48 @@ TEST(FaultKernel, MkAllocFaultIsAbsorbedByGcAndRetry) {
   EXPECT_EQ(m.audit_check(), "");
   // The result is the right function, not a salvaged wrong one.
   EXPECT_EQ(f, (m.var(0) & m.var(1)) | (m.var(2) & m.var(3)));
+}
+
+TEST(FaultKernel, CacheGrowthFaultKeepsTheTableAndTheResults) {
+  // x_i <-> y_i with every x above every y needs about 3 * 2^13 nodes, so
+  // the computed cache doubles four times (2^12 -> 2^16) mid-kernel.
+  constexpr std::uint32_t kPairs = 13;
+  const auto build = [](Manager& m) {
+    Bdd acc = m.one();
+    for (std::uint32_t i = 0; i < kPairs; ++i) {
+      acc &= !(m.var(i) ^ m.var(kPairs + i));
+    }
+    return acc;
+  };
+  Manager clean(2 * kPairs);
+  const Bdd expected = build(clean);
+  ASSERT_EQ(clean.stats().cache_growths, 4u);
+
+  Manager m(2 * kPairs);
+  Bdd got;
+  {
+    // The second growth fails: mk keeps the current table and goes on;
+    // nothing throws, so run_apply never needs its retry.
+    FaultGuard fault("alloc@cache:2");
+    got = build(m);
+    EXPECT_EQ(FaultInjector::instance().armed_entries(), 0u);
+  }
+  EXPECT_EQ(m.stats().alloc_failures, 1u);
+  EXPECT_EQ(m.stats().exhaust_retries, 0u);
+  EXPECT_EQ(m.audit_check(), "");
+  EXPECT_EQ(got.dag_size(), expected.dag_size());
+  EXPECT_EQ(got.sat_count(2 * kPairs), expected.sat_count(2 * kPairs));
+  // Both managers number variables alike: compare on sample assignments.
+  for (std::uint32_t bits = 0; bits < (1u << kPairs); bits += 37) {
+    std::vector<bool> a(2 * kPairs);
+    for (std::uint32_t v = 0; v < kPairs; ++v) {
+      a[v] = ((bits >> v) & 1) != 0;
+      a[kPairs + v] = v == bits % kPairs ? !a[v] : a[v];
+    }
+    EXPECT_EQ(got.eval(a), expected.eval(a));
+    a[kPairs + bits % kPairs] = a[bits % kPairs];
+    EXPECT_EQ(got.eval(a), expected.eval(a));
+  }
 }
 
 TEST(FaultKernel, ApplyDeadlineFaultRecoversAndRethrows) {
