@@ -6,7 +6,9 @@
 //     conjoin-then-quantify pipeline (DESIGN.md ablation),
 //   * symbolic reachability on n-bit counters (image iteration scaling),
 //   * monolithic vs conjunctively-partitioned image computation
-//     (DESIGN.md ablation) on the dining-philosophers models,
+//     (DESIGN.md ablation) on the Seitz arbiter,
+//   * the fused image / preimage kernels (rel_next / rel_prev) against a
+//     relational product followed by a separate rail move,
 //   * what a fresh manager costs, and a sweep over the computed-cache
 //     ceiling (ManagerOptions::cache_log2_size) on deep and wide checks.
 
@@ -233,6 +235,71 @@ void BM_PreimagePartitioned(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreimagePartitioned);
+
+/// One image or preimage step of the reachable set of N dining
+/// philosophers, with the computed cache flushed (by gc, untimed) before
+/// every iteration, so a row times a whole recursion rather than a
+/// top-level cache hit.  Fused: one rel_next / rel_prev.  Two-pass: the
+/// relational product, then a separate rail move (unprime / prime).  The
+/// counters are the step's computed-cache probes and mk calls, which do
+/// not depend on the machine.
+template <typename Step>
+void run_cold_step(benchmark::State& state, Step step) {
+  auto m = models::dining_philosophers(
+      {.count = static_cast<std::uint32_t>(state.range(0))});
+  const bdd::Bdd reach = m->reachable();
+  (void)m->trans();
+  bdd::Manager& mgr = m->manager();
+  const auto mk_calls = [&] {
+    return mgr.stats().unique_hits + mgr.stats().unique_misses;
+  };
+  std::size_t lookups = 0;
+  std::size_t mks = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    mgr.gc();
+    const std::size_t lookups0 = mgr.stats().cache_lookups;
+    const std::size_t mks0 = mk_calls();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(step(*m, mgr, reach));
+    lookups = mgr.stats().cache_lookups - lookups0;
+    mks = mk_calls() - mks0;
+  }
+  state.counters["cache_lookups"] = static_cast<double>(lookups);
+  state.counters["mk_calls"] = static_cast<double>(mks);
+}
+
+void BM_ImageFused(benchmark::State& state) {
+  run_cold_step(state, [](const ts::TransitionSystem& m, bdd::Manager& mgr,
+                          const bdd::Bdd& s) {
+    return mgr.rel_next(s, m.trans(), m.cur_cube());
+  });
+}
+BENCHMARK(BM_ImageFused)->Arg(4)->Arg(6)->Arg(8);
+
+void BM_ImageTwoPass(benchmark::State& state) {
+  run_cold_step(state, [](const ts::TransitionSystem& m, bdd::Manager& mgr,
+                          const bdd::Bdd& s) {
+    return m.unprime(mgr.and_exists(s, m.trans(), m.cur_cube()));
+  });
+}
+BENCHMARK(BM_ImageTwoPass)->Arg(4)->Arg(6)->Arg(8);
+
+void BM_PreimageFused(benchmark::State& state) {
+  run_cold_step(state, [](const ts::TransitionSystem& m, bdd::Manager& mgr,
+                          const bdd::Bdd& s) {
+    return mgr.rel_prev(s, m.trans(), m.next_cube());
+  });
+}
+BENCHMARK(BM_PreimageFused)->Arg(4)->Arg(6)->Arg(8);
+
+void BM_PreimageTwoPass(benchmark::State& state) {
+  run_cold_step(state, [](const ts::TransitionSystem& m, bdd::Manager& mgr,
+                          const bdd::Bdd& s) {
+    return mgr.and_exists(m.prime(s), m.trans(), m.next_cube());
+  });
+}
+BENCHMARK(BM_PreimageTwoPass)->Arg(4)->Arg(6)->Arg(8);
 
 void BM_GarbageCollection(benchmark::State& state) {
   for (auto _ : state) {

@@ -178,15 +178,15 @@ bdd::Bdd Reduction::image(const bdd::Bdd& states, ts::ImageMethod method,
     // monolithic AndExists handles that uniformly.
     const bdd::Bdd& rel =
         care != nullptr && !care->trans.is_null() ? care->trans : trans();
-    return ts_.unprime(mgr.and_exists(states, rel, ts_.cur_cube()));
+    return mgr.rel_next(states, rel, ts_.cur_cube());
   }
   const std::vector<bdd::Bdd>& rels =
       care != nullptr && !care->clusters.empty() ? care->clusters : clusters_;
   bdd::Bdd acc = states;
-  for (std::size_t i = 0; i < rels.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < rels.size(); ++i) {
     acc = mgr.and_exists(acc, rels[i], img_sched_[i]);
   }
-  return ts_.unprime(acc);
+  return mgr.rel_next(acc, rels.back(), img_sched_[rels.size() - 1]);
 }
 
 bdd::Bdd Reduction::preimage(const bdd::Bdd& states, ts::ImageMethod method,
@@ -198,19 +198,19 @@ bdd::Bdd Reduction::preimage(const bdd::Bdd& states, ts::ImageMethod method,
     const bdd::Bdd reduced = operand.minimize(care->set);
     if (reduced.dag_size() < operand.dag_size()) operand = reduced;
   }
-  const bdd::Bdd primed = ts_.prime(operand);
   if (method == ts::ImageMethod::kMonolithic || clusters_.size() <= 1) {
     const bdd::Bdd& rel =
         care != nullptr && !care->trans.is_null() ? care->trans : trans();
-    bdd::Bdd result = mgr.and_exists(primed, rel, ts_.next_cube());
+    bdd::Bdd result = mgr.rel_prev(operand, rel, ts_.next_cube());
     if (care != nullptr) result &= care->set;
     return result;
   }
   const std::vector<bdd::Bdd>& rels =
       care != nullptr && !care->clusters.empty() ? care->clusters : clusters_;
-  bdd::Bdd acc = primed;
+  bdd::Bdd acc = operand;
   for (std::size_t i = 0; i < rels.size(); ++i) {
-    acc = mgr.and_exists(acc, rels[i], pre_sched_[i]);
+    acc = i == 0 ? mgr.rel_prev(acc, rels[i], pre_sched_[i])
+                 : mgr.and_exists(acc, rels[i], pre_sched_[i]);
     if (care != nullptr && i + 1 < rels.size()) {
       const bdd::Bdd reduced = acc.minimize(care->set);
       if (reduced.dag_size() < acc.dag_size()) acc = reduced;

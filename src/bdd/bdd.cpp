@@ -79,8 +79,10 @@ const char* apply_op_name(ApplyOp op) {
       return "restrict_var";
     case ApplyOp::kCompose:
       return "compose";
-    case ApplyOp::kRename:
-      return "rename";
+    case ApplyOp::kRelNext:
+      return "rel_next";
+    case ApplyOp::kRelPrev:
+      return "rel_prev";
     case ApplyOp::kCount:
       break;
   }
@@ -1209,13 +1211,15 @@ std::string Manager::audit_check() const {
     for (std::size_t slot = 0; slot < cache_.size(); ++slot) {
       const CacheEntry& e = cache_[slot];
       if (!e.valid) continue;
-      if (e.op < kOpNot || e.op > kOpCompose) {
+      if (e.op < kOpNot || e.op > kOpRelPrev) {
         return fail("cache slot " + std::to_string(slot) +
                     " holds unknown op " + std::to_string(e.op));
       }
-      // Which operand words are node indices (kOpCompose's h is a variable).
+      // Which operand words are node indices (kOpCompose's h is a variable;
+      // the quantifying kernels' h is their cube).
       const bool g_is_node = e.op != kOpNot;
-      const bool h_is_node = e.op == kOpIte || e.op == kOpAndExists;
+      const bool h_is_node = e.op == kOpIte || e.op == kOpAndExists ||
+                             e.op == kOpRelNext || e.op == kOpRelPrev;
       if (!is_live(e.result) || !is_live(e.f) ||
           (g_is_node && !is_live(e.g)) || (h_is_node && !is_live(e.h))) {
         return fail("cache slot " + std::to_string(slot) +
@@ -1764,6 +1768,99 @@ std::uint32_t Manager::compose_rec(std::uint32_t f, std::uint32_t var,
   return r;
 }
 
+std::uint32_t Manager::mk_rel(std::uint32_t var, std::uint32_t lo,
+                              std::uint32_t hi, const char* what) {
+  // A child at or above var's level means the operands broke the kernel's
+  // pair contract (a pair split across levels, or both of its variables
+  // surviving into the result); mk would build a misordered DAG.
+  const std::uint32_t lvl = var2level_[var];
+  if (lo != hi && (level(lo) <= lvl || level(hi) <= lvl)) {
+    throw std::invalid_argument(
+        std::string("Manager::") + what +
+        ": operands break the interleaved-pair contract at variable " +
+        std::to_string(var));
+  }
+  return mk(var, lo, hi);
+}
+
+std::uint32_t Manager::rel_next_rec(std::uint32_t f, std::uint32_t g,
+                                    std::uint32_t cube) {
+  const Frame frame(*this);
+  if (f == kFalse || g == kFalse) return kFalse;
+  // Normalize (f AND g is commutative): g is true or f < g.  No and_rec /
+  // exists_rec shortcut here -- they would return unrenamed results.
+  if (g == kTrue || f == g) {
+    g = kTrue;
+  } else if (f == kTrue) {
+    f = g;
+    g = kTrue;
+  } else if (f > g) {
+    std::swap(f, g);
+  }
+  if (f == kTrue) return kTrue;
+  const std::uint32_t top = std::min(level(f), level(g));
+  while (cube != kTrue && level(cube) < top) cube = nodes_[cube].hi;
+  std::uint32_t cached;
+  if (cache_get(kOpRelNext, f, g, cube, cached)) return cached;
+  const std::uint32_t tv = level2var_[top];
+  const Node& nf = nodes_[f];
+  const Node& ng = nodes_[g];
+  const std::uint32_t f0 = nf.var == tv ? nf.lo : f;
+  const std::uint32_t f1 = nf.var == tv ? nf.hi : f;
+  const std::uint32_t g0 = ng.var == tv ? ng.lo : g;
+  const std::uint32_t g1 = ng.var == tv ? ng.hi : g;
+  std::uint32_t r;
+  if (level(cube) == top) {
+    const std::uint32_t rest = nodes_[cube].hi;
+    const std::uint32_t r0 = rel_next_rec(f0, g0, rest);
+    r = (r0 == kTrue) ? kTrue : or_rec(r0, rel_next_rec(f1, g1, rest));
+  } else {
+    // Emit 2v+1 as 2v (2v stays 2v).
+    const std::uint32_t r0 = rel_next_rec(f0, g0, cube);
+    const std::uint32_t r1 = rel_next_rec(f1, g1, cube);
+    r = mk_rel(tv & ~1u, r0, r1, "rel_next");
+  }
+  cache_put(kOpRelNext, f, g, cube, r);
+  return r;
+}
+
+std::uint32_t Manager::rel_prev_rec(std::uint32_t s, std::uint32_t t,
+                                    std::uint32_t cube) {
+  const Frame frame(*this);
+  if (s == kFalse || t == kFalse) return kFalse;
+  if (s == kTrue) return exists_rec(t, cube);  // t is read unrenamed
+  // s's variable x is read as its twin x^1, at the twin's level.
+  const std::uint32_t sv = nodes_[s].var ^ 1u;
+  if (sv >= num_vars_) {
+    throw std::invalid_argument(
+        "Manager::rel_prev: variable " + std::to_string(nodes_[s].var) +
+        " has no pair twin");
+  }
+  const std::uint32_t top = std::min(var2level_[sv], level(t));
+  while (cube != kTrue && level(cube) < top) cube = nodes_[cube].hi;
+  std::uint32_t cached;
+  if (cache_get(kOpRelPrev, s, t, cube, cached)) return cached;
+  const std::uint32_t tv = level2var_[top];
+  const Node& ns = nodes_[s];
+  const Node& nt = nodes_[t];
+  const std::uint32_t s0 = sv == tv ? ns.lo : s;
+  const std::uint32_t s1 = sv == tv ? ns.hi : s;
+  const std::uint32_t t0 = nt.var == tv ? nt.lo : t;
+  const std::uint32_t t1 = nt.var == tv ? nt.hi : t;
+  std::uint32_t r;
+  if (level(cube) == top) {
+    const std::uint32_t rest = nodes_[cube].hi;
+    const std::uint32_t r0 = rel_prev_rec(s0, t0, rest);
+    r = (r0 == kTrue) ? kTrue : or_rec(r0, rel_prev_rec(s1, t1, rest));
+  } else {
+    const std::uint32_t r0 = rel_prev_rec(s0, t0, cube);
+    const std::uint32_t r1 = rel_prev_rec(s1, t1, cube);
+    r = mk_rel(tv, r0, r1, "rel_prev");
+  }
+  cache_put(kOpRelPrev, s, t, cube, r);
+  return r;
+}
+
 std::uint32_t Manager::restrict_rec(
     std::uint32_t f, std::uint32_t var, bool value,
     std::unordered_map<std::uint32_t, std::uint32_t>& memo) {
@@ -1853,46 +1950,21 @@ Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   });
 }
 
-Bdd Manager::rename(const Bdd& f, const std::vector<std::uint32_t>& map) {
-  check_mine(f, "rename");
-  // Verify the map is order-preserving and injective on f's support; a
-  // violation would silently produce a mis-ordered (non-canonical) DAG.
-  std::vector<std::uint32_t> sup = f.support();
-  for (const std::uint32_t v : sup) {
-    if (v >= map.size()) {
-      throw std::invalid_argument("Manager::rename: map too short");
-    }
-    if (map[v] >= num_vars_) {
-      throw std::invalid_argument("Manager::rename: target var unknown");
-    }
-  }
-  // Order preservation is about LEVELS: walking the support from the top
-  // of the current order down, the targets' levels must strictly descend
-  // with it (which also gives injectivity on the support).
-  std::sort(sup.begin(), sup.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return var2level_[a] < var2level_[b];
+Bdd Manager::rel_next(const Bdd& f, const Bdd& g, const Bdd& cube) {
+  check_mine(f, "rel_next");
+  check_mine(g, "rel_next");
+  check_mine(cube, "rel_next");
+  return run_apply(ApplyOp::kRelNext, [&] {
+    return rel_next_rec(f.idx_, g.idx_, cube.idx_);
   });
-  for (std::size_t i = 1; i < sup.size(); ++i) {
-    if (var2level_[map[sup[i - 1]]] >= var2level_[map[sup[i]]]) {
-      throw std::invalid_argument(
-          "Manager::rename: map does not preserve variable order");
-    }
-  }
-  return run_apply(ApplyOp::kRename, [&] {
-    std::unordered_map<std::uint32_t, std::uint32_t> memo;
-    auto rec = [&](auto&& self, std::uint32_t n) -> std::uint32_t {
-      const Frame frame(*this);
-      if (level(n) == kTermVar) return n;
-      if (const auto it = memo.find(n); it != memo.end()) return it->second;
-      // Copy by value, not reference: mk below may grow nodes_.
-      const std::uint32_t nvar = nodes_[n].var;
-      const std::uint32_t nlo = nodes_[n].lo;
-      const std::uint32_t nhi = nodes_[n].hi;
-      const std::uint32_t r = mk(map[nvar], self(self, nlo), self(self, nhi));
-      memo.emplace(n, r);
-      return r;
-    };
-    return rec(rec, f.idx_);
+}
+
+Bdd Manager::rel_prev(const Bdd& s, const Bdd& t, const Bdd& cube) {
+  check_mine(s, "rel_prev");
+  check_mine(t, "rel_prev");
+  check_mine(cube, "rel_prev");
+  return run_apply(ApplyOp::kRelPrev, [&] {
+    return rel_prev_rec(s.idx_, t.idx_, cube.idx_);
   });
 }
 

@@ -9,8 +9,10 @@
 //   * an ITE-based apply with a computed cache, giving all 16 binary
 //     connectives in time linear in the argument sizes;
 //   * existential/universal quantification and the fused relational product
-//     (AndExists) used for image/preimage computation;
-//   * variable renaming between the "current state" and "next state" rails;
+//     (AndExists);
+//   * the image and preimage kernels over interleaved current/next rails
+//     (rel_next / rel_prev), which quantify and move between the rails in
+//     one cached recursion;
 //   * minterm extraction (PickOneMinterm), the primitive that witness
 //     generation uses to pull one concrete state out of a symbolic set;
 //   * reference-counted garbage collection driven by RAII handles.
@@ -24,7 +26,7 @@
 // handles stay valid across reorders because node indices never move.
 // The transition-system layer interleaves current/next variables and
 // declares each pair a group (group_vars), so sifting moves the pair as a
-// block and the pairwise current<->next renaming stays order-preserving.
+// block and rel_next / rel_prev can emit a variable at its twin's level.
 //
 // Thread safety: a Manager and all Bdd handles attached to it are confined
 // to one thread at a time.  Distinct managers are independent, which is how
@@ -186,7 +188,8 @@ enum class ApplyOp : std::size_t {
   kRestrictMin,
   kRestrictVar,
   kCompose,
-  kRename,
+  kRelNext,
+  kRelPrev,
   kCount,  // number of entries, not an operation
 };
 inline constexpr std::size_t kNumApplyOps =
@@ -310,14 +313,30 @@ class Manager {
   /// If-then-else: (f AND g) OR (NOT f AND h).
   [[nodiscard]] Bdd ite(const Bdd& f, const Bdd& g, const Bdd& h);
 
-  /// Fused relational product: Exists cube . (f AND g).  The workhorse of
-  /// image/preimage computation; never builds the full conjunction.
+  /// Fused relational product: Exists cube . (f AND g); never builds the
+  /// full conjunction.  Partitioned image/preimage sweeps use it between
+  /// their first and last clusters (rel_next / rel_prev do the ends).
   [[nodiscard]] Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& cube);
 
-  /// Rename variables: result has variable map[v] wherever f has v.  The map
-  /// must be injective on f's support and preserve relative variable order
-  /// (checked); identity entries map[v] == v are allowed and typical.
-  [[nodiscard]] Bdd rename(const Bdd& f, const std::vector<std::uint32_t>& map);
+  // -- relational products over interleaved rails ----------------------------
+  // Variables 2v and 2v+1 form a pair (the transition-system layer's current
+  // and next rail of state variable v).  Both kernels emit a variable at the
+  // level of its pair twin, which is order-correct whenever every pair the
+  // operands mention sits at two adjacent levels (in either internal order)
+  // -- what a pair reorder group guarantees.  A step that would emit a node
+  // above a child of its own pair throws std::invalid_argument instead of
+  // building a misordered DAG.
+
+  /// Image kernel: Exists cube . (f AND g) with every surviving variable
+  /// 2v+1 emitted as 2v, in one recursion (no renaming pass).  The
+  /// quantified product must not depend on both variables of a pair.
+  /// unprime(f) is rel_next(f, 1, 1).
+  [[nodiscard]] Bdd rel_next(const Bdd& f, const Bdd& g, const Bdd& cube);
+  /// Preimage kernel: Exists cube . (s' AND t), where s' is `s` with every
+  /// variable x read as x^1 (its pair twin).  `s` must not depend on both
+  /// variables of a pair; `cube` and `t` name real variables.  prime(s) is
+  /// rel_prev(s, 1, 1).
+  [[nodiscard]] Bdd rel_prev(const Bdd& s, const Bdd& t, const Bdd& cube);
 
   /// Pick one satisfying assignment of f, as a full cube over `vars`
   /// (every variable in `vars` appears as a positive or negative literal).
@@ -581,6 +600,8 @@ class Manager {
     kOpConstrain,
     kOpRestrictMin,
     kOpCompose,
+    kOpRelNext,
+    kOpRelPrev,
   };
 
   // -- node plumbing -------------------------------------------------------
@@ -680,6 +701,14 @@ class Manager {
   std::uint32_t restrict_min_rec(std::uint32_t f, std::uint32_t c);
   std::uint32_t compose_rec(std::uint32_t f, std::uint32_t var,
                             std::uint32_t g);
+  std::uint32_t rel_next_rec(std::uint32_t f, std::uint32_t g,
+                             std::uint32_t cube);
+  std::uint32_t rel_prev_rec(std::uint32_t s, std::uint32_t t,
+                             std::uint32_t cube);
+  /// mk(var, lo, hi) for the rel kernels: throws std::invalid_argument when
+  /// a child sits at or above var's level (see rel_next).
+  std::uint32_t mk_rel(std::uint32_t var, std::uint32_t lo, std::uint32_t hi,
+                       const char* what);
 
   [[nodiscard]] Bdd wrap(std::uint32_t idx) { return Bdd(this, idx); }
   void check_mine(const Bdd& b, const char* what) const;

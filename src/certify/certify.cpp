@@ -164,7 +164,7 @@ bool TraceCertifier::has_transition(const std::vector<bool>& from,
                                     const std::vector<bool>& to) const {
   // Evaluate every conjunct of the (partitioned) relation on the combined
   // (current, next) assignment -- a plain top-down eval per part, fully
-  // independent of the AndExists/rename machinery the generators used.
+  // independent of the relational-product kernels the generators used.
   const std::vector<bdd::Bdd>& parts = ts_.trans_parts();
   if (parts.empty()) return true;  // empty conjunction: the total relation
   bdd::Manager* mgr = parts.front().manager();
@@ -222,7 +222,7 @@ void TraceCertifier::check_structure(
   }
 
   // Cross-engine pass: the image of the source state, computed by the
-  // AndExists/rename sweep, must meet the target.  The explicit engine
+  // rel_next image sweep, must meet the target.  The explicit engine
   // builds each successor list from exactly this image, so this is its
   // "target is a successor" predicate -- without enumerating the model.
   // decode_state proved each entry is the single minterm it decoded to.

@@ -18,7 +18,7 @@
 //     the CTL* fragment's GF/FG duties) are checked pointwise on the
 //     decoded states;
 //   * every edge is re-derived a second way (cross-engine check): the
-//     image of the source state, computed by the AndExists/rename sweep
+//     image of the source state, computed by the rel_next image sweep
 //     the explicit engine builds its successor lists from, must meet the
 //     target.  The check is local to the trace, so it costs one image per
 //     edge and runs on every model, whatever its size.

@@ -36,12 +36,11 @@ std::string Trace::to_string(const ts::TransitionSystem& ts) const {
 }
 
 std::string Trace::validate(const ts::TransitionSystem& ts) const {
-  const auto& trans = ts.trans();
   auto is_single_state = [&](const bdd::Bdd& s) {
     return !s.is_false() && ts.count_states(s) == 1.0;
   };
   auto has_edge = [&](const bdd::Bdd& a, const bdd::Bdd& b) {
-    return !(a & ts.prime(b) & trans).is_false();
+    return ts.image(a).intersects(b);
   };
   const std::vector<bdd::Bdd> all = states();
   if (all.empty()) return "trace is empty";

@@ -69,8 +69,8 @@ VarId TransitionSystem::add_var(const std::string& name) {
   by_name_.emplace(name, v);
   // Interleaved rails: BDD var 2v is current, 2v+1 is next.  The pair is
   // registered as a reorder group, so dynamic reordering moves it as a
-  // block and the rails stay interleaved (prime/unprime remain
-  // order-preserving by construction).
+  // block and the rails stay interleaved (the image/preimage kernels
+  // Manager::rel_next / rel_prev rely on this).
   const std::uint32_t c = mgr_->new_var();
   const std::uint32_t n = mgr_->new_var();
   mgr_->group_vars({c, n});
@@ -144,19 +144,24 @@ void TransitionSystem::finalize() {
     throw std::logic_error(
         "TransitionSystem::finalize: no transition relation");
   }
-  finalized_ = true;
+  // Every image and preimage runs on Manager::rel_next / rel_prev, which
+  // emit a variable at its twin's level: each (2v, 2v+1) pair must be one
+  // reorder group at adjacent levels.  add_var guarantees it; check once.
   std::vector<std::uint32_t> curs;
   std::vector<std::uint32_t> nexts;
-  cur_to_next_.resize(2 * names_.size());
-  next_to_cur_.resize(2 * names_.size());
   for (VarId v = 0; v < names_.size(); ++v) {
-    curs.push_back(2 * v);
-    nexts.push_back(2 * v + 1);
-    cur_to_next_[2 * v] = 2 * v + 1;
-    cur_to_next_[2 * v + 1] = 2 * v + 1;  // identity beyond domain of use
-    next_to_cur_[2 * v + 1] = 2 * v;
-    next_to_cur_[2 * v] = 2 * v;
+    const std::uint32_t c = 2 * v;
+    const std::uint32_t lc = mgr_->level_of_var(c);
+    const std::uint32_t ln = mgr_->level_of_var(c + 1);
+    if (mgr_->var_group(c) != mgr_->var_group(c + 1) ||
+        (lc + 1 != ln && ln + 1 != lc)) {
+      throw std::logic_error("TransitionSystem::finalize: rails of '" +
+                             names_[v] + "' are not an adjacent pair group");
+    }
+    curs.push_back(c);
+    nexts.push_back(c + 1);
   }
+  finalized_ = true;
   cur_cube_ = mgr_->cube(curs);
   next_cube_ = mgr_->cube(nexts);
 
@@ -250,23 +255,15 @@ std::string TransitionSystem::audit_check() const {
   const std::size_t n = names_.size();
 
   // -- rail discipline -------------------------------------------------------
-  const auto rail_ok = [n](const std::vector<std::uint32_t>& support,
-                           std::uint32_t parity) {
-    return std::all_of(support.begin(), support.end(), [&](std::uint32_t v) {
-      return v < 2 * n && v % 2 == parity;
-    });
-  };
-  const std::vector<std::uint32_t> cur_support = cur_cube_.support();
-  const std::vector<std::uint32_t> next_support = next_cube_.support();
-  if (cur_support.size() != n || !rail_ok(cur_support, 0)) {
+  if (cur_cube_.support().size() != n || !on_rail(cur_cube_, 0)) {
     return fail("current-rail cube is not exactly the even variables");
   }
-  if (next_support.size() != n || !rail_ok(next_support, 1)) {
+  if (next_cube_.support().size() != n || !on_rail(next_cube_, 1)) {
     return fail("next-rail cube is not exactly the odd variables");
   }
   // Dynamic reordering may permute pairs against each other, but each
   // current/next pair must stay adjacent (current on top) and grouped, or
-  // prime/unprime would stop being order-preserving rewrites.
+  // the rel_next / rel_prev kernels would emit misordered nodes.
   for (VarId v = 0; v < n; ++v) {
     const std::uint32_t c = 2 * static_cast<std::uint32_t>(v);
     if (mgr_->level_of_var(c) + 1 != mgr_->level_of_var(c + 1)) {
@@ -280,16 +277,16 @@ std::string TransitionSystem::audit_check() const {
   }
 
   // -- support containment ---------------------------------------------------
-  if (!init_.is_null() && !rail_ok(init_.support(), 0)) {
+  if (!init_.is_null() && !on_rail(init_, 0)) {
     return fail("initial states depend on non-current-rail variables");
   }
   for (const auto& [name, set] : labels_) {
-    if (!rail_ok(set.support(), 0)) {
+    if (!on_rail(set, 0)) {
       return fail("label '" + name + "' depends on non-current-rail variables");
     }
   }
   for (std::size_t k = 0; k < fairness_.size(); ++k) {
-    if (!rail_ok(fairness_[k].support(), 0)) {
+    if (!on_rail(fairness_[k], 0)) {
       return fail("fairness constraint " + std::to_string(k) +
                   " depends on non-current-rail variables");
     }
@@ -303,7 +300,7 @@ std::string TransitionSystem::audit_check() const {
     }
   }
 
-  // -- renaming round-trip ---------------------------------------------------
+  // -- rail-move round-trip --------------------------------------------------
   if (!init_.is_null() && unprime(prime(init_)) != init_) {
     return fail("prime/unprime round-trip changes the initial states");
   }
@@ -409,14 +406,30 @@ const bdd::Bdd& TransitionSystem::next_cube() const {
   return next_cube_;
 }
 
+bool TransitionSystem::on_rail(const bdd::Bdd& f, std::uint32_t parity) const {
+  const std::size_t n = names_.size();
+  const std::vector<std::uint32_t> support = f.support();
+  return std::all_of(support.begin(), support.end(), [&](std::uint32_t v) {
+    return v < 2 * n && v % 2 == parity;
+  });
+}
+
 bdd::Bdd TransitionSystem::prime(const bdd::Bdd& f) const {
   require_finalized("prime");
-  return mgr_->rename(f, cur_to_next_);
+  if (!on_rail(f, 0)) {
+    throw std::invalid_argument(
+        "TransitionSystem::prime: operand leaves the current rail");
+  }
+  return mgr_->rel_prev(f, mgr_->one(), mgr_->one());
 }
 
 bdd::Bdd TransitionSystem::unprime(const bdd::Bdd& f) const {
   require_finalized("unprime");
-  return mgr_->rename(f, next_to_cur_);
+  if (!on_rail(f, 1)) {
+    throw std::invalid_argument(
+        "TransitionSystem::unprime: operand leaves the next rail");
+  }
+  return mgr_->rel_next(f, mgr_->one(), mgr_->one());
 }
 
 bdd::Bdd TransitionSystem::image(const bdd::Bdd& states, ImageMethod method,
@@ -431,22 +444,25 @@ bdd::Bdd TransitionSystem::image(const bdd::Bdd& states, ImageMethod method,
   if (method == ImageMethod::kMonolithic ||
       (clusters_.size() == 1 && care == nullptr)) {
     const bdd::Bdd& rel = care != nullptr ? care->trans : trans();
-    const bdd::Bdd product = mgr_->and_exists(states, rel, cur_cube_);
+    const bdd::Bdd result = mgr_->rel_next(states, rel, cur_cube_);
     if (diag_on) {
       auto& r = diag::Registry::global();
       r.add("image.calls");
       r.add("image.monolithic.calls");
       r.add("image.sweep_steps");
-      r.gauge_set("image.peak_dag", static_cast<double>(product.dag_size()));
+      r.gauge_set("image.peak_dag", static_cast<double>(result.dag_size()));
     }
-    return unprime(product);
+    return result;
   }
   const std::vector<bdd::Bdd>& rels =
       care != nullptr ? care->clusters : clusters_;
   bdd::Bdd acc = states;
   std::size_t peak = 0;
   for (std::size_t i = 0; i < rels.size(); ++i) {
-    acc = mgr_->and_exists(acc, rels[i], img_sched_[i]);
+    // The last cluster quantifies the remaining current rail and lands the
+    // successors on it in the same recursion.
+    acc = i + 1 < rels.size() ? mgr_->and_exists(acc, rels[i], img_sched_[i])
+                              : mgr_->rel_next(acc, rels[i], img_sched_[i]);
     if (diag_on) peak = std::max(peak, acc.dag_size());
   }
   if (diag_on) {
@@ -456,7 +472,7 @@ bdd::Bdd TransitionSystem::image(const bdd::Bdd& states, ImageMethod method,
     r.add("image.sweep_steps", rels.size());
     r.gauge_set("image.peak_dag", static_cast<double>(peak));
   }
-  return unprime(acc);
+  return acc;
 }
 
 bdd::Bdd TransitionSystem::preimage(const bdd::Bdd& states, ImageMethod method,
@@ -480,11 +496,10 @@ bdd::Bdd TransitionSystem::preimage(const bdd::Bdd& states, ImageMethod method,
     }
     if (reduced.dag_size() < operand.dag_size()) operand = reduced;
   }
-  const bdd::Bdd primed = prime(operand);
   if (method == ImageMethod::kMonolithic ||
       (clusters_.size() == 1 && care == nullptr)) {
     const bdd::Bdd& rel = care != nullptr ? care->trans : trans();
-    bdd::Bdd result = mgr_->and_exists(primed, rel, next_cube_);
+    bdd::Bdd result = mgr_->rel_prev(operand, rel, next_cube_);
     if (care != nullptr) result &= care->set;
     if (diag_on) {
       auto& r = diag::Registry::global();
@@ -497,10 +512,12 @@ bdd::Bdd TransitionSystem::preimage(const bdd::Bdd& states, ImageMethod method,
   }
   const std::vector<bdd::Bdd>& rels =
       care != nullptr ? care->clusters : clusters_;
-  bdd::Bdd acc = primed;
+  bdd::Bdd acc = operand;
   std::size_t peak = 0;
   for (std::size_t i = 0; i < rels.size(); ++i) {
-    acc = mgr_->and_exists(acc, rels[i], pre_sched_[i]);
+    // The first cluster reads the operand on the next rail.
+    acc = i == 0 ? mgr_->rel_prev(acc, rels[i], pre_sched_[i])
+                 : mgr_->and_exists(acc, rels[i], pre_sched_[i]);
     if (care != nullptr && i + 1 < rels.size()) {
       // The preimage sweep quantifies next-rail variables only, so the
       // accumulator's current-rail rows outside the care set are dead

@@ -8,8 +8,9 @@
 //
 // Variable layout: state variable i occupies BDD variables 2i (current)
 // and 2i+1 (next).  Interleaving keeps R small for the common case of
-// per-variable next-state functions and makes the current<->next renaming
-// order-preserving, so `prime`/`unprime` are cheap structural rewrites.
+// per-variable next-state functions and lets image and preimage move
+// between the rails inside the relational product itself
+// (Manager::rel_next / rel_prev), with no separate renaming pass.
 // Each pair is registered as a reorder group (Manager::group_vars), so
 // dynamic variable reordering (src/order, DESIGN.md §10) moves pairs as
 // blocks: levels may be permuted freely across pairs, but within a pair
@@ -137,9 +138,11 @@ class TransitionSystem {
   /// Next-state literal of state variable v (BDD variable 2v+1).
   [[nodiscard]] bdd::Bdd next(VarId v) const;
 
-  /// Rewrite a predicate over current variables to next variables.
+  /// Rewrite a predicate over current variables to next variables
+  /// (std::invalid_argument if it depends on any other variable).
   [[nodiscard]] bdd::Bdd prime(const bdd::Bdd& f) const;
-  /// Rewrite a predicate over next variables to current variables.
+  /// Rewrite a predicate over next variables to current variables
+  /// (std::invalid_argument if it depends on any other variable).
   [[nodiscard]] bdd::Bdd unprime(const bdd::Bdd& f) const;
 
   /// Cube of all current-rail (resp. next-rail) BDD variables.
@@ -251,7 +254,7 @@ class TransitionSystem {
   ///     the even/odd BDD variables and are disjoint;
   ///   * support containment: init, labels and fairness constraints live on
   ///     the current rail only, transition parts within the two rails;
-  ///   * renaming: prime/unprime round-trip on the initial states;
+  ///   * rail moves: prime/unprime round-trip on the initial states;
   ///   * partitioned/monolithic agreement: the cached monolithic relation
   ///     equals a freshly conjoined partition, and image/preimage give the
   ///     same result under both methods (exercising the early-quantification
@@ -275,6 +278,8 @@ class TransitionSystem {
   void require_open(const char* what) const;
   void require_finalized(const char* what) const;
   void build_schedules();
+  /// Does f depend only on rail `parity` (0 current, 1 next)?
+  [[nodiscard]] bool on_rail(const bdd::Bdd& f, std::uint32_t parity) const;
 
   std::unique_ptr<bdd::Manager> mgr_;
   std::vector<std::string> names_;
@@ -290,8 +295,6 @@ class TransitionSystem {
   // Built by finalize():
   bdd::Bdd cur_cube_;
   bdd::Bdd next_cube_;
-  std::vector<std::uint32_t> cur_to_next_;  // BDD-var rename maps
-  std::vector<std::uint32_t> next_to_cur_;
   // Early-quantification schedule over clusters_: for the image sweep,
   // cube of current variables that may be quantified when conjoining
   // cluster i (they appear in no later cluster); symmetrically for the

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "bdd/bdd.hpp"
+#include "order/order.hpp"
 
 namespace symcex::bdd {
 namespace {
@@ -202,23 +203,6 @@ TEST_F(BddTest, PickIsDeterministic) {
   const Bdd f = m.var(0) | m.var(2);
   const std::vector<std::uint32_t> vars{0, 1, 2};
   EXPECT_EQ(m.pick_one_minterm(f, vars), m.pick_one_minterm(f, vars));
-}
-
-TEST_F(BddTest, RenameMovesSupport) {
-  const Bdd f = m.var(0) & !m.var(2);
-  std::vector<std::uint32_t> map{1, 1, 3, 3, 4, 5, 6, 7};
-  const Bdd g = m.rename(f, map);
-  EXPECT_EQ(g, m.var(1) & !m.var(3));
-  // Round-trip back.
-  std::vector<std::uint32_t> inverse{0, 0, 2, 2, 4, 5, 6, 7};
-  EXPECT_EQ(m.rename(g, inverse), f);
-}
-
-TEST_F(BddTest, RenameRejectsOrderViolation) {
-  const Bdd f = m.var(0) & m.var(1);
-  // Swapping 0 and 1 does not preserve relative order.
-  std::vector<std::uint32_t> bad{1, 0, 2, 3, 4, 5, 6, 7};
-  EXPECT_THROW((void)m.rename(f, bad), std::invalid_argument);
 }
 
 TEST_F(BddTest, ImplicationAndIntersection) {
@@ -421,6 +405,12 @@ TEST(BddCacheGrowthTest, GrowsThroughEveryDoublingAndStaysCorrect) {
   tiny.cache_log2_size = 4;
   Manager capped(2 * kPairs, tiny);
   Manager grown(2 * kPairs);
+  // The test needs the deliberately bad order and all of its nodes,
+  // whatever SYMCEX_REORDER or SYMCEX_NODE_LIMIT say.
+  for (Manager* m : {&capped, &grown}) {
+    m->set_auto_reorder(false);
+    m->clear_budget();
+  }
   std::size_t growths_seen = 0;
   const Bdd from_grown = separated_equality(grown, kPairs, [&] {
     if (grown.stats().cache_growths == growths_seen) return;
@@ -544,6 +534,194 @@ TEST_F(BddTest, ForEachAssignmentCountsFreeVariables) {
     ++count;
   });
   EXPECT_EQ(count, 2);  // the free variable doubles the count
+}
+
+// ---------------------------------------------------------------------------
+// Relational products over interleaved rails (rel_next / rel_prev)
+// ---------------------------------------------------------------------------
+
+/// Five (2v, 2v+1) pairs, each a reorder group, laid out like a transition
+/// system's current/next rails.  The references move between the rails
+/// with compose, so they share no code with the kernels under test.
+class RelKernelTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kPairs = 5;
+
+  RelKernelTest() {
+    for (std::uint32_t v = 0; v < kPairs; ++v) {
+      m.group_vars({2 * v, 2 * v + 1});
+    }
+  }
+
+  /// A random DNF over `vars`.
+  Bdd random_over(const std::vector<std::uint32_t>& vars) {
+    Bdd f = m.zero();
+    const unsigned terms = 1 + rng() % 4;
+    for (unsigned t = 0; t < terms; ++t) {
+      Bdd cube = m.one();
+      for (const std::uint32_t v : vars) {
+        switch (rng() % 3) {
+          case 0:
+            cube &= m.var(v);
+            break;
+          case 1:
+            cube &= m.nvar(v);
+            break;
+          default:
+            break;
+        }
+      }
+      f |= cube;
+    }
+    return f;
+  }
+
+  /// A random subset of rail `parity` (0 current, 1 next), or all of it.
+  std::vector<std::uint32_t> rail(std::uint32_t parity, bool all) {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t v = 0; v < kPairs; ++v) {
+      if (all || rng() % 2 == 0) out.push_back(2 * v + parity);
+    }
+    return out;
+  }
+
+  static std::vector<std::uint32_t> join(std::vector<std::uint32_t> a,
+                                         const std::vector<std::uint32_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    std::sort(a.begin(), a.end());
+    a.erase(std::unique(a.begin(), a.end()), a.end());
+    return a;
+  }
+
+  /// f with every rail-`parity` variable x replaced by its twin x ^ 1.
+  Bdd to_twin(Bdd f, std::uint32_t parity) {
+    for (std::uint32_t v = 0; v < kPairs; ++v) {
+      const std::uint32_t x = 2 * v + parity;
+      f = f.compose(x, m.var(x ^ 1u));
+    }
+    return f;
+  }
+
+  /// Both kernels against their reference compositions under the
+  /// manager's current order.  Even rounds quantify a whole rail (the
+  /// monolithic sweeps); odd rounds use partial cubes, as the last image
+  /// cluster and the first preimage cluster of a partitioned sweep do.
+  void check_kernels(int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      const bool whole = round % 2 == 0;
+      // Image: f carries next-rail variables of earlier clusters and the
+      // current variables `a` not yet quantified; g reads current `b`.
+      const std::vector<std::uint32_t> a = rail(0, false);
+      const std::vector<std::uint32_t> b = rail(0, false);
+      const Bdd f = random_over(join(a, rail(1, false)));
+      const Bdd g = random_over(join(b, rail(1, false)));
+      const Bdd cube = m.cube(whole ? rail(0, true) : join(a, b));
+      EXPECT_EQ(m.rel_next(f, g, cube), to_twin(m.and_exists(f, g, cube), 1))
+          << "round " << round;
+      // Preimage: s over the current rail, t over both rails.
+      const Bdd s = random_over(rail(0, false));
+      const Bdd t = random_over(join(rail(0, false), rail(1, false)));
+      const Bdd next_cube = m.cube(rail(1, whole));
+      EXPECT_EQ(m.rel_prev(s, t, next_cube),
+                m.and_exists(to_twin(s, 0), t, next_cube))
+          << "round " << round;
+    }
+    // The rail moves themselves: unprime and prime.
+    const Bdd on_next = random_over(rail(1, true));
+    EXPECT_EQ(m.rel_next(on_next, m.one(), m.one()), to_twin(on_next, 1));
+    const Bdd on_cur = random_over(rail(0, true));
+    EXPECT_EQ(m.rel_prev(on_cur, m.one(), m.one()), to_twin(on_cur, 0));
+  }
+
+  std::mt19937 rng{7};
+  Manager m{2 * kPairs};
+};
+
+TEST_F(RelKernelTest, MatchTheReferenceUnderTheIdentityOrder) {
+  ASSERT_TRUE(m.identity_order());
+  check_kernels(200);
+}
+
+TEST_F(RelKernelTest, MatchTheReferenceAfterSifting) {
+  // Move pair 0 below pair 1 as a block, then sift with live functions to
+  // weigh, so the kernels run on an order reordering produced.
+  std::vector<Bdd> live;
+  for (int i = 0; i < 16; ++i) {
+    live.push_back(random_over(join(rail(0, true), rail(1, true))));
+  }
+  m.reorder_session_begin();
+  for (const std::uint32_t lvl : {1u, 0u, 2u, 1u}) m.swap_levels(lvl);
+  m.reorder_session_end();
+  (void)order::sift(m);
+  ASSERT_FALSE(m.identity_order());
+  for (std::uint32_t v = 0; v < kPairs; ++v) {
+    ASSERT_EQ(m.level_of_var(2 * v) + 1, m.level_of_var(2 * v + 1));
+  }
+  check_kernels(200);
+  EXPECT_EQ(m.audit_check(), "");
+}
+
+TEST_F(RelKernelTest, MatchTheReferenceWithNextAboveCurrent) {
+  // Swap inside every pair: the group stays contiguous, but each next
+  // variable now sits directly above its current twin.
+  for (std::uint32_t v = 0; v < kPairs; ++v) {
+    m.swap_levels(m.level_of_var(2 * v));
+    ASSERT_EQ(m.level_of_var(2 * v + 1) + 1, m.level_of_var(2 * v));
+  }
+  check_kernels(200);
+  EXPECT_EQ(m.audit_check(), "");
+}
+
+TEST_F(RelKernelTest, AuditAcceptsTheirCacheEntries) {
+  // A fused sweep fills the computed cache with rel_next / rel_prev
+  // entries; the audit must know their ops and check their cube operand.
+  check_kernels(40);
+  EXPECT_EQ(m.audit_check(), "");
+  EXPECT_NO_THROW(m.audit());
+}
+
+TEST_F(RelKernelTest, ContractViolationsThrowAndLeaveTheManagerClean) {
+  // Both variables of pair 0 survive: the result would need 0 twice.
+  const Bdd both = m.var(0) & m.var(1);
+  EXPECT_THROW((void)m.rel_next(both, m.one(), m.one()),
+               std::invalid_argument);
+  EXPECT_THROW((void)m.rel_prev(both, m.one(), m.one()),
+               std::invalid_argument);
+  // Quantifying one of them first is fine.
+  EXPECT_EQ(m.rel_next(both, m.one(), m.cube({0})), m.var(0));
+  EXPECT_EQ(m.audit_check(), "");
+  m.gc();
+  EXPECT_EQ(m.audit_check(), "");
+
+  // A pair split across levels: the kernel throws rather than build a
+  // misordered DAG.
+  Manager split(4);
+  split.swap_levels(1);  // order 0, 2, 1, 3
+  EXPECT_THROW((void)split.rel_next(split.var(1) & split.var(2), split.one(),
+                                    split.one()),
+               std::invalid_argument);
+  EXPECT_EQ(split.audit_check(), "");
+
+  // A variable without a twin cannot be read on the other rail.
+  Manager odd(3);
+  EXPECT_THROW((void)odd.rel_prev(odd.var(2), odd.one(), odd.one()),
+               std::invalid_argument);
+  EXPECT_EQ(odd.audit_check(), "");
+}
+
+TEST_F(RelKernelTest, CountedAsTheirOwnApplyOps) {
+  EXPECT_STREQ(apply_op_name(ApplyOp::kRelNext), "rel_next");
+  EXPECT_STREQ(apply_op_name(ApplyOp::kRelPrev), "rel_prev");
+  const ManagerStats before = m.stats();
+  (void)m.rel_next(m.var(1), m.var(0), m.cube({0}));
+  (void)m.rel_prev(m.var(0), m.var(1), m.cube({1}));
+  (void)m.rel_prev(m.var(2), m.var(3), m.cube({3}));
+  EXPECT_EQ(m.stats().apply(ApplyOp::kRelNext),
+            before.apply(ApplyOp::kRelNext) + 1);
+  EXPECT_EQ(m.stats().apply(ApplyOp::kRelPrev),
+            before.apply(ApplyOp::kRelPrev) + 2);
+  EXPECT_EQ(m.stats().apply(ApplyOp::kAndExists),
+            before.apply(ApplyOp::kAndExists));
 }
 
 // ---------------------------------------------------------------------------

@@ -160,6 +160,10 @@ TEST(FaultKernel, CacheGrowthFaultKeepsTheTableAndTheResults) {
   // the computed cache doubles four times (2^12 -> 2^16) mid-kernel.
   constexpr std::uint32_t kPairs = 13;
   const auto build = [](Manager& m) {
+    // The bad order and all of its nodes, whatever SYMCEX_REORDER or
+    // SYMCEX_NODE_LIMIT say.
+    m.set_auto_reorder(false);
+    m.clear_budget();
     Bdd acc = m.one();
     for (std::uint32_t i = 0; i < kPairs; ++i) {
       acc &= !(m.var(i) ^ m.var(kPairs + i));

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analyze/analyze.hpp"
 #include "ts/field.hpp"
 #include "ts/transition_system.hpp"
 
@@ -223,6 +224,130 @@ TEST(StateGraphDot, RendersReachableGraph) {
   EXPECT_NE(dot.find("fillcolor=lightgrey"), std::string::npos);  // highlight
   EXPECT_NE(dot.find("s0 -> s1"), std::string::npos);
   EXPECT_NE(dot.find("s1 -> s0"), std::string::npos);
+}
+
+/// Image and preimage in every sweep mode -- monolithic or partitioned,
+/// with or without a care set, on the full system or its cone-of-influence
+/// reduction -- against the reference composition: conjoin, quantify with
+/// exists, and move between the rails with compose.
+TEST(TransitionSystemTest, SweepsMatchTheReferenceCompositionInEveryMode) {
+  TransitionSystem m;
+  m.set_cluster_threshold(0);  // one cluster per conjunct
+  bdd::Manager& mgr = m.manager();
+  // Bank a counts 0..5 and wraps; bank b counts while the free input e is
+  // high.  A label on a seeds a cone that drops b and e.
+  const std::vector<VarId> a = m.add_vector("a", 3);
+  const std::vector<VarId> b = m.add_vector("b", 2);
+  const VarId e = m.add_var("e");
+  const auto value_is = [&](const std::vector<VarId>& bits, unsigned v) {
+    bdd::Bdd s = mgr.one();
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      s &= ((v >> i) & 1) != 0 ? m.cur(bits[i]) : !m.cur(bits[i]);
+    }
+    return s;
+  };
+  bdd::Bdd init = !m.cur(e);
+  for (const VarId v : a) init &= !m.cur(v);
+  for (const VarId v : b) init &= !m.cur(v);
+  m.set_init(init);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    bdd::Bdd bit = mgr.zero();
+    for (unsigned v = 0; v < 8; ++v) {
+      const unsigned succ = v >= 5 ? 0 : v + 1;
+      if (((succ >> i) & 1) != 0) bit |= value_is(a, v);
+    }
+    m.add_trans(!(m.next(a[i]) ^ bit));
+  }
+  bdd::Bdd carry = m.cur(e);
+  for (const VarId v : b) {
+    m.add_trans(!(m.next(v) ^ (m.cur(v) ^ carry)));
+    carry &= m.cur(v);
+  }
+  m.add_label("a_zero", value_is(a, 0));
+  m.finalize();
+  ASSERT_GT(m.trans_clusters().size(), 1u);
+
+  const analyze::DepGraph graph = analyze::build_dep_graph(m);
+  analyze::Cone cone =
+      analyze::cone_of_influence(m, graph, {m.label("a_zero").value()});
+  ASSERT_TRUE(cone.reduces());
+  const analyze::Reduction red(m, std::move(cone), graph);
+
+  const auto swap_rails = [&](bdd::Bdd f, std::uint32_t parity) {
+    for (VarId v = 0; v < m.num_state_vars(); ++v) {
+      const std::uint32_t x = 2 * v + parity;
+      f = f.compose(x, mgr.var(x ^ 1u));
+    }
+    return f;
+  };
+  const auto image_ref = [&](const bdd::Bdd& s, const bdd::Bdd& rel) {
+    return swap_rails((s & rel).exists(m.cur_cube()), 1);
+  };
+  const auto preimage_ref = [&](const bdd::Bdd& z, const bdd::Bdd& rel) {
+    return (swap_rails(z, 0) & rel).exists(m.next_cube());
+  };
+  const auto care_for = [&](const bdd::Bdd& reach, const bdd::Bdd& rel,
+                            const std::vector<bdd::Bdd>& clusters) {
+    DontCare care{reach, rel.minimize(reach), {}};
+    for (const bdd::Bdd& c : clusters) care.clusters.push_back(c.minimize(reach));
+    return care;
+  };
+  const DontCare full_care =
+      care_for(m.reachable(), m.trans(), m.trans_clusters());
+  const DontCare cone_care =
+      care_for(red.reachable(), red.trans(), red.clusters());
+  ASSERT_NE(full_care.set, mgr.one());
+  ASSERT_NE(cone_care.set, mgr.one());
+
+  std::mt19937 rng(11);
+  for (int round = 0; round < 12; ++round) {
+    for (const bool coi : {false, true}) {
+      const bdd::Bdd& reach = coi ? red.reachable() : m.reachable();
+      const bdd::Bdd& rel = coi ? red.trans() : m.trans();
+      // Image operands stay inside the care set (the DontCare contract);
+      // preimage operands are arbitrary current-rail sets.
+      bdd::Bdd s = mgr.zero();
+      bdd::Bdd pool = reach;
+      for (int k = 0; k < 3 && !pool.is_false(); ++k) {
+        const bdd::Bdd st = m.pick_state(pool);
+        pool -= st;
+        if (rng() % 2 == 0) s |= st;
+      }
+      bdd::Bdd z = mgr.zero();
+      for (unsigned v = 0; v < 8; ++v) {
+        if (rng() % 3 == 0) z |= value_is(a, v) & (rng() % 2 == 0 ? m.cur(e) : mgr.one());
+      }
+      for (const bool with_care : {false, true}) {
+        const DontCare* care =
+            with_care ? (coi ? &cone_care : &full_care) : nullptr;
+        for (const ImageMethod method :
+             {ImageMethod::kMonolithic, ImageMethod::kPartitioned}) {
+          const bdd::Bdd img =
+              coi ? red.image(s, method, care) : m.image(s, method, care);
+          const bdd::Bdd pre =
+              coi ? red.preimage(z, method, care) : m.preimage(z, method, care);
+          bdd::Bdd pre_want = preimage_ref(z, rel);
+          if (care != nullptr) pre_want &= care->set;
+          EXPECT_EQ(img, image_ref(s, rel))
+              << "round " << round << " coi " << coi << " care " << with_care;
+          EXPECT_EQ(pre, pre_want)
+              << "round " << round << " coi " << coi << " care " << with_care;
+        }
+      }
+    }
+  }
+}
+
+TEST(TransitionSystemTest, PrimeAndUnprimeCheckTheRail) {
+  TransitionSystem m;
+  const VarId x = m.add_var("x");
+  const VarId y = m.add_var("y");
+  m.add_trans(m.next(x) ^ m.cur(y));
+  m.finalize();
+  EXPECT_EQ(m.prime(m.cur(x) & !m.cur(y)), m.next(x) & !m.next(y));
+  EXPECT_EQ(m.unprime(m.next(x) & !m.next(y)), m.cur(x) & !m.cur(y));
+  EXPECT_THROW((void)m.prime(m.next(x)), std::invalid_argument);
+  EXPECT_THROW((void)m.unprime(m.cur(x) & m.next(y)), std::invalid_argument);
 }
 
 TEST(StateGraphDot, BoundsEnforced) {
