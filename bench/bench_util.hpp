@@ -1,14 +1,16 @@
 // Shared bench harness helpers.
 //
-// StatsExport gives every bench binary the --stats_json=<path> flag: when
-// present it is stripped from argv (before Google Benchmark sees it),
-// diagnostics collection is switched on, and the accumulated metrics
-// registry is written to <path> as JSON when main returns.  SYMCEX_STATS=1
-// keeps working independently (text report + JSON to stderr at exit).
+// StatsExport installs the SYMCEX_* configuration (guard/config.hpp) and
+// gives every bench binary the --stats_json=<path> flag: when present it
+// is stripped from argv (before Google Benchmark sees it), diagnostics
+// collection is switched on, and the accumulated metrics registry is
+// written to <path> as JSON when main returns.  SYMCEX_STATS=1 keeps
+// working independently (text report + JSON to stderr at exit).
 
 #pragma once
 
 #include "diag/metrics.hpp"
+#include "guard/config.hpp"
 
 namespace symcex::bench {
 
@@ -20,7 +22,10 @@ namespace symcex::bench {
 ///   }
 class StatsExport {
  public:
-  StatsExport(int* argc, char** argv) { diag::handle_cli_args(argc, argv); }
+  StatsExport(int* argc, char** argv) {
+    config::install(config::from_env());
+    diag::handle_cli_args(argc, argv);
+  }
   ~StatsExport() { diag::write_json_file(); }
   StatsExport(const StatsExport&) = delete;
   StatsExport& operator=(const StatsExport&) = delete;

@@ -15,9 +15,11 @@
 #include "core/explain.hpp"
 #include "core/witness.hpp"
 #include "explicit/explicit_graph.hpp"
+#include "guard/config.hpp"
 #include "models/models.hpp"
 
 int main() {
+  symcex::config::install(symcex::config::from_env());
   using namespace symcex;
 
   std::cout << "== buggy arbiter (fixed-priority ME element) ==\n";

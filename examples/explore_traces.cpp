@@ -11,9 +11,11 @@
 #include "core/checker.hpp"
 #include "core/explain.hpp"
 #include "core/trace_util.hpp"
+#include "guard/config.hpp"
 #include "models/models.hpp"
 
 int main() {
+  symcex::config::install(symcex::config::from_env());
   using namespace symcex;
 
   auto m = models::dining_philosophers({.count = 4});

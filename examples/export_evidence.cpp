@@ -20,9 +20,11 @@
 #include "core/checker.hpp"
 #include "core/explain.hpp"
 #include "evidence/evidence.hpp"
+#include "guard/config.hpp"
 #include "models/models.hpp"
 
 int main(int argc, char** argv) {
+  symcex::config::install(symcex::config::from_env());
   using namespace symcex;
   const std::string dir = argc > 1 ? argv[1] : "evidence-out";
 

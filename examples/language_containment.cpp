@@ -13,6 +13,7 @@
 #include "automata/from_ts.hpp"
 #include "automata/omega.hpp"
 #include "automata/streett.hpp"
+#include "guard/config.hpp"
 #include "models/models.hpp"
 
 namespace {
@@ -52,6 +53,7 @@ symcex::automata::StreettAutomaton make_spec() {
 }  // namespace
 
 int main() {
+  symcex::config::install(symcex::config::from_env());
   using namespace symcex::automata;
 
   const StreettAutomaton spec = make_spec();

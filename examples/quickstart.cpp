@@ -10,9 +10,11 @@
 
 #include "core/checker.hpp"
 #include "core/explain.hpp"
+#include "guard/config.hpp"
 #include "ts/transition_system.hpp"
 
 int main() {
+  symcex::config::install(symcex::config::from_env());
   using namespace symcex;
 
   // ---- 1. declare the state variables ------------------------------------

@@ -46,6 +46,7 @@
 #include "core/explain.hpp"
 #include "core/trace_util.hpp"
 #include "evidence/evidence.hpp"
+#include "guard/config.hpp"
 #include "guard/guard.hpp"
 #include "persist/persist.hpp"
 #include "serve/serve.hpp"
@@ -115,15 +116,12 @@ void print_raw_trace(const symcex::ts::TransitionSystem& system,
 /// Is an evidence directory configured (--evidence or SYMCEX_EVIDENCE_DIR)?
 /// Bundles are built only then: building one expands every transition
 /// conjunct into a DNF cover, which a large relation cannot afford.
-bool bundles_configured(const std::string& evidence_dir) {
-  return !evidence_dir.empty() || !symcex::evidence::default_dir().empty();
-}
+bool bundles_configured() { return !symcex::evidence::default_dir().empty(); }
 
 /// Continue a checkpointed run: restore, re-check the stored spec (the
 /// staged frontiers make the fixpoints continue from their saved
 /// iterates), print, and emit evidence like a normal run.
-int run_resume(const std::string& snapshot_path, const std::string& evidence_dir,
-               bool shorten_traces) {
+int run_resume(const std::string& snapshot_path, bool shorten_traces) {
   using namespace symcex;
   core::ResumedCheck resumed = core::resume_check(snapshot_path);
   auto& system = *resumed.system;
@@ -148,7 +146,7 @@ int run_resume(const std::string& snapshot_path, const std::string& evidence_dir
     std::cout << "-- " << outcome.reason << ":\n";
     print_raw_trace(system, trace);
   }
-  if (bundles_configured(evidence_dir)) {
+  if (bundles_configured()) {
     const core::Explanation explanation{
         outcome.verdict == core::Verdict::kTrue, outcome.trace,
         outcome.reason, {}, {}};
@@ -156,7 +154,7 @@ int run_resume(const std::string& snapshot_path, const std::string& evidence_dir
       const evidence::BundleBuilder bundle = evidence::from_explanation(
           system, resumed.model_name, resumed.formula, explanation);
       if (evidence::emit_if_configured(
-              bundle, evidence_dir,
+              bundle, "",
               evidence::sanitize_basename("resumed_" + resumed.formula))) {
         std::cout << "-- evidence bundle written\n";
       }
@@ -171,8 +169,7 @@ int run_resume(const std::string& snapshot_path, const std::string& evidence_dir
 /// COI provenance, and write it.  Throws std::length_error when a conjunct
 /// or predicate exceeds the cover cap (evidence::cover_of).
 void emit_bundle(const symcex::smv::SmvModel& model,
-                 const symcex::core::Checker& checker,
-                 const std::string& evidence_dir, std::size_t i,
+                 const symcex::core::Checker& checker, std::size_t i,
                  const symcex::core::Explanation& result) {
   using namespace symcex;
   evidence::BundleBuilder bundle = evidence::from_explanation(
@@ -205,7 +202,7 @@ void emit_bundle(const symcex::smv::SmvModel& model,
     bundle.add_annotation("coi:fingerprint", fp.str());
   }
   if (evidence::emit_if_configured(
-          bundle, evidence_dir,
+          bundle, "",
           evidence::sanitize_basename("spec" + std::to_string(i) + "_" +
                                       model.spec_texts()[i]))) {
     std::cout << "-- evidence bundle written for spec " << i << "\n\n";
@@ -216,6 +213,9 @@ void emit_bundle(const symcex::smv::SmvModel& model,
 
 int main(int argc, char** argv) {
   using namespace symcex;
+  // --evidence overrides SYMCEX_EVIDENCE_DIR; the configuration is
+  // installed once the arguments are read, before any engine use.
+  config::Config cfg = config::from_env();
 
   bool lint_only = false;
   bool hash_only = false;
@@ -223,7 +223,6 @@ int main(int argc, char** argv) {
   std::size_t simulate_steps = 0;
   std::uint64_t seed = 1;
   std::string dot_path;
-  std::string evidence_dir;
   std::string resume_path;
   std::string path;
   for (int i = 1; i < argc; ++i) {
@@ -244,7 +243,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--dot" && i + 1 < argc) {
       dot_path = argv[++i];
     } else if (arg == "--evidence" && i + 1 < argc) {
-      evidence_dir = argv[++i];
+      cfg.evidence_dir = argv[++i];
     } else if (arg == "--resume" && i + 1 < argc) {
       resume_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
@@ -257,10 +256,11 @@ int main(int argc, char** argv) {
       path = arg;
     }
   }
+  config::install(cfg);
 
   if (!resume_path.empty()) {
     try {
-      return run_resume(resume_path, evidence_dir, shorten_traces);
+      return run_resume(resume_path, shorten_traces);
     } catch (const persist::SnapshotError& e) {
       std::cerr << "error: cannot resume (" << e.check() << "): " << e.what()
                 << "\n";
@@ -392,9 +392,9 @@ int main(int argc, char** argv) {
       }
       std::cout << "\n";
 
-      if (bundles_configured(evidence_dir)) {
+      if (bundles_configured()) {
         try {
-          emit_bundle(model, checker, evidence_dir, i, result);
+          emit_bundle(model, checker, i, result);
         } catch (const std::length_error& e) {
           std::cout << "-- evidence bundle for spec " << i
                     << " uncoverable: " << e.what() << "\n\n";

@@ -82,11 +82,11 @@ struct ContainmentResult {
   /// Fixpoint evaluations spent (Section 9's cost remark).
   std::size_t fixpoint_evaluations = 0;
   /// Three-valued verdict: kTrue = contained, kFalse = counterexample
-  /// found, kUnknown = the resource budget (guard::ScopedBudget /
-  /// SYMCEX_* env limits, picked up by the private product manager) ran
-  /// out first.  When kUnknown, `contained` is false, `counterexample`
-  /// empty, and `unknown_reason` / `spent` say what gave out; rerun with
-  /// a raised budget for the real verdict.
+  /// found, kUnknown = the resource budget (guard::ScopedBudget / the
+  /// configured SYMCEX_* limits, picked up by the private product
+  /// manager) ran out first.  When kUnknown, `contained` is false,
+  /// `counterexample` empty, and `unknown_reason` / `spent` say what gave
+  /// out; rerun with a raised budget for the real verdict.
   core::Verdict verdict = core::Verdict::kUnknown;
   std::string unknown_reason;
   guard::BudgetSpent spent;

@@ -17,6 +17,7 @@
 #include <sys/mman.h>
 
 #include "diag/metrics.hpp"
+#include "guard/config.hpp"
 #include "guard/fault.hpp"
 
 namespace symcex::bdd {
@@ -41,7 +42,7 @@ std::atomic<bool>& audits_flag() {
 #else
   constexpr bool kDefault = false;
 #endif
-  static std::atomic<bool> flag{kDefault || diag::env_flag("SYMCEX_AUDIT")};
+  static std::atomic<bool> flag{kDefault || config::current().audit};
   return flag;
 }
 
@@ -375,10 +376,10 @@ Manager::Manager(std::uint32_t num_vars, const ManagerOptions& options)
   for (std::uint32_t i = 0; i < num_vars; ++i) new_var();
   // Dynamic reordering is opt-in: SYMCEX_REORDER arms the growth trigger
   // for every manager; CheckOptions::reorder overrides per checker.
-  auto_reorder_ = diag::env_flag("SYMCEX_REORDER");
+  auto_reorder_ = config::current().reorder;
   reorder_baseline_ = live_nodes_;
   // Every manager is born budgeted: the innermost guard::ScopedBudget, or
-  // the environment-derived default (SYMCEX_NODE_LIMIT, ...).  This is how
+  // the configured default (SYMCEX_NODE_LIMIT, ...).  This is how
   // budgets reach managers libraries construct privately, e.g. the product
   // manager inside automata::check_containment.
   install_budget(guard::ScopedBudget::current());
@@ -1273,13 +1274,17 @@ void Manager::install_budget(const guard::ResourceBudget& budget) {
   node_soft_limit_ = budget.effective_soft_node_limit();
   memory_limit_ = budget.max_memory_bytes;
   budget_epoch_ns_ = diag::monotonic_ns();
-  deadline_ns_ =
-      budget.deadline_ms == 0
-          ? 0
-          : budget_epoch_ns_ + budget.deadline_ms * 1'000'000ull;
+  // Unit conversions saturate: a deadline too far off to represent in
+  // nanoseconds is no deadline in practice, not one that already passed.
+  deadline_ns_ = budget.deadline_ms == 0
+                     ? 0
+                     : guard::saturating_add(
+                           budget_epoch_ns_,
+                           guard::saturating_mul(budget.deadline_ms, 1'000'000));
   margin_ns_ = budget.deadline_ms == 0
                    ? 0
-                   : guard::checkpoint_margin_ns(budget.deadline_ms);
+                   : guard::saturating_mul(
+                         budget.effective_checkpoint_margin_ms(), 1'000'000);
   last_soft_gc_live_ = 0;
 }
 
@@ -1347,7 +1352,8 @@ void Manager::checkpoint(const char* what) {
   // (once) -- the run keeps going, but its state is now on disk.
   if (deadline_ns_ != 0 && margin_ns_ != 0 &&
       guard::ScopedCheckpointHook::armed() &&
-      diag::monotonic_ns() + margin_ns_ > deadline_ns_) {
+      diag::monotonic_ns() >
+          deadline_ns_ - std::min(margin_ns_, deadline_ns_)) {
     guard::ScopedCheckpointHook::fire();
   }
   if (memory_limit_ != 0 && memory_bytes() > memory_limit_) {

@@ -401,7 +401,7 @@ class Manager {
 
   // -- resource governance ---------------------------------------------------
   // A Manager always carries a budget: the constructor installs the ambient
-  // guard::ScopedBudget::current() (environment-derived when no scope is
+  // guard::ScopedBudget::current() (the configured budget when no scope is
   // active), and install_budget replaces it.  Kernels and fixpoint loops
   // check it at cooperative checkpoints and throw guard::ResourceExhausted
   // subclasses; the manager unwinds to an audit-clean state, so raising the
@@ -410,7 +410,7 @@ class Manager {
   /// Install `budget`, replacing the previous one and restarting the
   /// wall-clock deadline.
   void install_budget(const guard::ResourceBudget& budget);
-  /// Remove every limit (including the environment-derived ones); the
+  /// Remove every limit (including the configured ones); the
   /// default recursion-depth guard stays in force.
   void clear_budget();
   /// The installed budget.
@@ -839,8 +839,8 @@ class FixpointGuard {
 };
 
 /// Should gc() follow each collection with Manager::audit()?  Defaults to
-/// on in debug builds (NDEBUG not defined) and to the SYMCEX_AUDIT
-/// environment toggle otherwise; override with set_audits_enabled().
+/// on in debug builds (NDEBUG not defined) and to config::current().audit
+/// (SYMCEX_AUDIT) otherwise; override with set_audits_enabled().
 [[nodiscard]] bool audits_enabled();
 void set_audits_enabled(bool on);
 

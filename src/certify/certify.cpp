@@ -7,13 +7,14 @@
 
 #include "diag/json.hpp"
 #include "diag/metrics.hpp"
+#include "guard/config.hpp"
 
 namespace symcex::certify {
 
 namespace {
 
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{diag::env_flag("SYMCEX_CERTIFY")};
+  static std::atomic<bool> flag{config::current().certify};
   return flag;
 }
 

@@ -45,10 +45,10 @@
 
 namespace symcex::certify {
 
-/// Is auto-certification on?  Initialised from the SYMCEX_CERTIFY
-/// environment variable (any value except "" and "0" enables); flip with
-/// set_enabled().  When on, WitnessGenerator / Explainer / StarChecker /
-/// check_containment certify every trace they emit.
+/// Is auto-certification on?  Initialised from config::current().certify
+/// (SYMCEX_CERTIFY); flip with set_enabled().  When on, WitnessGenerator /
+/// Explainer / StarChecker / check_containment certify every trace they
+/// emit.
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
 

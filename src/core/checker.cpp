@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "diag/metrics.hpp"
+#include "guard/config.hpp"
 
 namespace symcex::core {
 
@@ -16,7 +17,7 @@ Checker::Checker(ts::TransitionSystem& ts, const CheckOptions& options)
     : ts_(ts),
       options_(options),
       context_(ts, options.image_method, options.use_care_set),
-      coi_requested_(options.coi.value_or(diag::env_flag("SYMCEX_COI"))) {
+      coi_requested_(options.coi.value_or(config::current().coi)) {
   if (!ts.finalized()) {
     throw std::invalid_argument("Checker: transition system not finalized");
   }

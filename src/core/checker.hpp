@@ -60,7 +60,7 @@ struct CheckOptions {
   /// written to when a budgeted check exhausts its budget, and -- when a
   /// deadline budget is installed -- once shortly before the deadline
   /// expires (the margin hook; SYMCEX_CHECKPOINT_MARGIN_MS).  Empty means
-  /// "use the SYMCEX_CHECKPOINT_DIR environment variable"; both empty
+  /// "use the configured SYMCEX_CHECKPOINT_DIR"; both empty
   /// disables checkpointing.
   std::string checkpoint_dir;
   /// Model name stored in checkpoints and used in their filenames.

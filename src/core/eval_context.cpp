@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "diag/metrics.hpp"
+#include "guard/config.hpp"
 #include "guard/guard.hpp"
 
 namespace symcex::core {
@@ -11,8 +12,7 @@ EvalContext::EvalContext(ts::TransitionSystem& ts, ts::ImageMethod method,
                          std::optional<bool> use_care_set)
     : ts_(ts),
       method_(method),
-      care_requested_(
-          use_care_set.value_or(diag::env_flag("SYMCEX_CARE_SET"))) {}
+      care_requested_(use_care_set.value_or(config::current().care_set)) {}
 
 void EvalContext::set_reduction(const analyze::Reduction* reduction) {
   if (reduction_ == reduction) return;

@@ -42,7 +42,7 @@ namespace symcex::core {
 /// with everything layered on that checker.
 class EvalContext {
  public:
-  /// `use_care_set`: nullopt reads the SYMCEX_CARE_SET environment flag.
+  /// `use_care_set`: nullopt reads config::current().care_set.
   EvalContext(ts::TransitionSystem& ts, ts::ImageMethod method,
               std::optional<bool> use_care_set);
 
@@ -62,7 +62,7 @@ class EvalContext {
     return reduction_;
   }
 
-  /// Was simplification requested (option or environment)?
+  /// Was simplification requested (option or configuration)?
   [[nodiscard]] bool care_requested() const { return care_requested_; }
   /// Forces the lazy setup; true when simplified sweeps are in use (false
   /// when not requested, the care set is trivial, or the budget ran out).

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "diag/json.hpp"
+#include "guard/config.hpp"
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,15 +26,41 @@ void report_at_exit() {
   std::cerr << '\n';
 }
 
-bool init_from_env() {
-  const bool on = env_flag("SYMCEX_STATS");
+bool init_from_config() {
+  const bool on = config::current().stats;
   if (on) std::atexit(report_at_exit);
   return on;
 }
 
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{init_from_env()};
+  static std::atomic<bool> flag{init_from_config()};
   return flag;
+}
+
+/// The effective configuration, one member per SYMCEX_* variable.
+void write_config(std::ostream& os) {
+  const config::Config& c = config::current();
+  JsonWriter w(os);
+  w.begin_object();
+  w.member("care_set", c.care_set);
+  w.member("coi", c.coi);
+  w.member("reorder", c.reorder);
+  w.member("fold_constants", c.fold_constants);
+  w.member("cluster_threshold", std::uint64_t{c.cluster_threshold});
+  w.member("certify", c.certify);
+  w.member("audit", c.audit);
+  w.member("max_live_nodes", std::uint64_t{c.budget.max_live_nodes});
+  w.member("max_memory_bytes", std::uint64_t{c.budget.max_memory_bytes});
+  w.member("deadline_ms", c.budget.deadline_ms);
+  w.member("max_fixpoint_iterations",
+           std::uint64_t{c.budget.max_fixpoint_iterations});
+  w.member("max_recursion_depth", std::uint64_t{c.budget.max_recursion_depth});
+  w.member("checkpoint_margin_ms", c.budget.checkpoint_margin_ms);
+  w.member("checkpoint_dir", c.checkpoint_dir);
+  w.member("evidence_dir", c.evidence_dir);
+  w.member("fault_spec", c.fault_spec);
+  w.member("stats", c.stats);
+  w.end_object();
 }
 
 // -- thread-local phase stack ------------------------------------------------
@@ -60,11 +87,6 @@ std::mutex json_path_mu;
 }  // namespace
 
 bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-
-bool env_flag(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] != '\0' && std::string_view(env) != "0";
-}
 
 void set_enabled(bool on) {
   enabled_flag().store(on, std::memory_order_relaxed);
@@ -190,7 +212,9 @@ Registry::snapshot_with_sources() const {
 
 void Registry::to_json(std::ostream& os) const {
   const auto phases = snapshot_with_sources();
-  os << "{\"symcex_stats_version\": 1, \"phases\": {";
+  os << "{\"symcex_stats_version\": 2, \"config\": ";
+  write_config(os);
+  os << ", \"phases\": {";
   bool first_phase = true;
   for (const auto& [path, metrics] : phases) {
     if (metrics.empty()) continue;

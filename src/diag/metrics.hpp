@@ -30,7 +30,7 @@
 // far from the per-node inner loops.
 //
 // Enabling:
-//   * environment:  SYMCEX_STATS=1  -- collect, and at process exit write
+//   * configuration: SYMCEX_STATS=1 -- collect, and at process exit write
 //     a human-readable report followed by the JSON document to stderr;
 //   * benches:      --stats_json=<path>  -- collect, and write the JSON
 //     document to <path> on exit (see bench/bench_util.hpp);
@@ -49,14 +49,10 @@
 
 namespace symcex::diag {
 
-/// Is metric collection on?  Initialised from the SYMCEX_STATS environment
-/// variable (any value except "" and "0" enables); flip with set_enabled().
+/// Is metric collection on?  Initialised from config::current().stats
+/// (SYMCEX_STATS); flip with set_enabled().
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
-
-/// Shared boolean environment-toggle convention: set (non-empty, not "0")
-/// means on.  Used for SYMCEX_STATS, SYMCEX_CERTIFY and SYMCEX_AUDIT.
-[[nodiscard]] bool env_flag(const char* name);
 
 /// Last value written to a gauge plus its high-water mark.
 struct GaugeValue {
@@ -134,9 +130,10 @@ class Registry {
   // -- export --------------------------------------------------------------
 
   /// Write the whole registry (with live sources folded in) as one JSON
-  /// document.  Schema (version 1):
+  /// document, headed by the effective configuration.  Schema (version 2):
   ///
-  ///   { "symcex_stats_version": 1,
+  ///   { "symcex_stats_version": 2,
+  ///     "config": { "<Config field>": <bool|uint|string>, ... },
   ///     "phases": {
   ///       "<phase path>": {
   ///         "counters": { "<name>": <uint>, ... },

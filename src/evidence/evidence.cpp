@@ -1,7 +1,6 @@
 #include "evidence/evidence.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -11,6 +10,7 @@
 
 #include "diag/json.hpp"
 #include "fnv1a.hpp"
+#include "guard/config.hpp"
 #include "version.hpp"
 
 namespace symcex::evidence {
@@ -382,10 +382,7 @@ BundleBuilder from_outcome(const ts::TransitionSystem& ts,
 // emission plumbing
 // ---------------------------------------------------------------------------
 
-std::string default_dir() {
-  const char* env = std::getenv("SYMCEX_EVIDENCE_DIR");
-  return env != nullptr ? env : "";
-}
+std::string default_dir() { return config::current().evidence_dir; }
 
 std::string sanitize_basename(std::string_view s) {
   Fnv1a h(Fnv1a::kLegacyBasis);

@@ -231,7 +231,7 @@ void render_html(std::ostream& os, const BundleBuilder& bundle);
 
 // -- emission plumbing --------------------------------------------------------
 
-/// The SYMCEX_EVIDENCE_DIR environment variable, or "" when unset.
+/// config::current().evidence_dir (SYMCEX_EVIDENCE_DIR), "" when unset.
 [[nodiscard]] std::string default_dir();
 
 /// Turn an arbitrary spec/model string into a filesystem-safe basename:

@@ -1,6 +1,5 @@
 #include "guard/fault.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -11,14 +10,6 @@ std::atomic<bool> g_fault_armed{false};
 }  // namespace detail
 
 namespace {
-
-// Arm the injector from SYMCEX_FAULT_SPEC at load time, so probes (which
-// short-circuit on g_fault_armed) see environment-armed faults without any
-// code having to touch the singleton first.
-[[maybe_unused]] const bool g_env_spec_loaded = [] {
-  FaultInjector::instance();
-  return true;
-}();
 
 // Probe suspension depth for this thread (FaultInjector::Suspend).
 thread_local int g_suspended = 0;
@@ -42,18 +33,6 @@ const char* fault_kind_name(FaultKind kind) {
 FaultInjector& FaultInjector::instance() {
   static FaultInjector injector;
   return injector;
-}
-
-FaultInjector::FaultInjector() {
-  const char* spec = std::getenv("SYMCEX_FAULT_SPEC");
-  if (spec == nullptr || *spec == '\0') return;
-  try {
-    configure(spec);
-  } catch (const std::invalid_argument& e) {
-    // The environment cannot throw into an arbitrary kernel callsite:
-    // report once and run un-faulted.
-    std::fprintf(stderr, "symcex: ignoring SYMCEX_FAULT_SPEC: %s\n", e.what());
-  }
 }
 
 std::vector<FaultEntry> FaultInjector::parse_spec(const std::string& spec) {

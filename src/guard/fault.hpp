@@ -41,7 +41,7 @@
 // thread-local: a thread unwinding through recovery code suppresses only
 // its own probes, never another's.  configure()/clear() themselves are
 // not meant to race with in-flight probes -- arm the injector before the
-// run, as the SYMCEX_FAULT_SPEC path does.
+// run, as config::install does with SYMCEX_FAULT_SPEC.
 
 #pragma once
 
@@ -76,13 +76,12 @@ struct FaultEntry {
 };
 
 /// The process-wide injector.  Tests configure() it directly; processes
-/// under test arm it with SYMCEX_FAULT_SPEC (read once, at the first
-/// probe or configure call).
+/// under test arm it with SYMCEX_FAULT_SPEC, which config::install
+/// passes to configure() (config::parse has already rejected a malformed
+/// spec, so the environment cannot throw into a kernel callsite).
 class FaultInjector {
  public:
-  /// The singleton.  First access loads SYMCEX_FAULT_SPEC; a malformed
-  /// environment spec is reported once on stderr and ignored (the
-  /// environment cannot throw into an arbitrary kernel callsite).
+  /// The singleton; nothing is armed until configure().
   static FaultInjector& instance();
 
   /// Parse `spec` and arm its entries, replacing any current ones.
@@ -124,7 +123,7 @@ class FaultInjector {
   };
 
  private:
-  FaultInjector();
+  FaultInjector() = default;
   void rearm_flag();
 
   mutable std::mutex mu_;

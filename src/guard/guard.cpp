@@ -1,7 +1,8 @@
 #include "guard/guard.hpp"
 
-#include <cstdlib>
 #include <sstream>
+
+#include "guard/config.hpp"
 
 namespace symcex::guard {
 
@@ -33,38 +34,9 @@ std::string BudgetSpent::to_string() const {
   return os.str();
 }
 
-namespace {
-
-/// Parse a non-negative integer environment variable; `fallback` when the
-/// variable is unset, empty, or not a clean number.
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') return fallback;
-  return static_cast<std::uint64_t>(parsed);
-}
-
-}  // namespace
-
 ResourceBudget ResourceBudget::unlimited() {
   ResourceBudget b;
   b.max_recursion_depth = 0;
-  return b;
-}
-
-ResourceBudget ResourceBudget::from_env() {
-  ResourceBudget b;
-  b.max_live_nodes =
-      static_cast<std::size_t>(env_u64("SYMCEX_NODE_LIMIT", 0));
-  b.max_memory_bytes = static_cast<std::size_t>(
-      env_u64("SYMCEX_MEMORY_LIMIT_MB", 0) * 1024 * 1024);
-  b.deadline_ms = env_u64("SYMCEX_DEADLINE_MS", 0);
-  b.max_fixpoint_iterations =
-      static_cast<std::size_t>(env_u64("SYMCEX_MAX_ITERATIONS", 0));
-  b.max_recursion_depth = static_cast<std::size_t>(
-      env_u64("SYMCEX_MAX_DEPTH", b.max_recursion_depth));
   return b;
 }
 
@@ -81,11 +53,7 @@ ScopedBudget::ScopedBudget(const ResourceBudget& budget)
 ScopedBudget::~ScopedBudget() { g_ambient = prev_; }
 
 const ResourceBudget& ScopedBudget::current() {
-  if (g_ambient != nullptr) return *g_ambient;
-  // The environment is read once per thread; tests that mutate it install
-  // a ScopedBudget instead of relying on re-reads.
-  thread_local const ResourceBudget env_budget = ResourceBudget::from_env();
-  return env_budget;
+  return g_ambient != nullptr ? *g_ambient : config::current().budget;
 }
 
 namespace {
@@ -115,12 +83,6 @@ void ScopedCheckpointHook::fire() {
   } catch (...) {
     // A failed periodic checkpoint must not abort the run it insures.
   }
-}
-
-std::uint64_t checkpoint_margin_ns(std::uint64_t deadline_ms) {
-  const std::uint64_t margin_ms =
-      env_u64("SYMCEX_CHECKPOINT_MARGIN_MS", deadline_ms / 8);
-  return margin_ms * 1'000'000ull;
 }
 
 }  // namespace symcex::guard

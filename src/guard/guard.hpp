@@ -22,8 +22,8 @@
 // Budgets install on a bdd::Manager directly (install_budget) or
 // ambiently via ScopedBudget, which newly constructed managers -- e.g.
 // the private product manager inside automata::check_containment --
-// pick up automatically.  With no ambient budget, ResourceBudget::from_env
-// applies (SYMCEX_NODE_LIMIT, SYMCEX_DEADLINE_MS, ...).
+// pick up automatically.  With no ambient budget, the configured one
+// applies (config::current().budget: SYMCEX_NODE_LIMIT, ...).
 
 #pragma once
 
@@ -35,6 +35,20 @@
 #include <utility>
 
 namespace symcex::guard {
+
+/// a * b, or UINT64_MAX when the product does not fit.
+[[nodiscard]] inline std::uint64_t saturating_mul(std::uint64_t a,
+                                                  std::uint64_t b) {
+  std::uint64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? UINT64_MAX : product;
+}
+
+/// a + b, or UINT64_MAX when the sum does not fit.
+[[nodiscard]] inline std::uint64_t saturating_add(std::uint64_t a,
+                                                  std::uint64_t b) {
+  std::uint64_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum) ? UINT64_MAX : sum;
+}
 
 /// Which budgeted resource ran out.
 enum class Resource {
@@ -83,6 +97,9 @@ struct ResourceBudget {
   std::size_t max_memory_bytes = 0;
   /// Wall-clock deadline in milliseconds, measured from install_budget.
   std::uint64_t deadline_ms = 0;
+  /// Wall-clock margin before the deadline at which the checkpoint hook
+  /// fires (ScopedCheckpointHook).  0 = auto: one eighth of deadline_ms.
+  std::uint64_t checkpoint_margin_ms = 0;
   /// Cap on the iterations of any single guarded fixpoint loop.
   std::size_t max_fixpoint_iterations = 0;
   /// Cap on BDD kernel recursion depth (always enforced; ~100k default).
@@ -101,17 +118,13 @@ struct ResourceBudget {
       return soft_node_limit;
     return max_live_nodes - max_live_nodes / 8;
   }
+  /// The checkpoint margin actually in force (resolves the 0 = auto rule).
+  [[nodiscard]] std::uint64_t effective_checkpoint_margin_ms() const {
+    return checkpoint_margin_ms != 0 ? checkpoint_margin_ms : deadline_ms / 8;
+  }
 
   /// No limits at all, not even the default depth guard.
   [[nodiscard]] static ResourceBudget unlimited();
-  /// Budget described by the environment:
-  ///   SYMCEX_NODE_LIMIT      -> max_live_nodes
-  ///   SYMCEX_MEMORY_LIMIT_MB -> max_memory_bytes (megabytes)
-  ///   SYMCEX_DEADLINE_MS     -> deadline_ms
-  ///   SYMCEX_MAX_ITERATIONS  -> max_fixpoint_iterations
-  ///   SYMCEX_MAX_DEPTH       -> max_recursion_depth
-  /// Unset / unparsable variables leave the default value in place.
-  [[nodiscard]] static ResourceBudget from_env();
 };
 
 /// Base of the recoverable exhaustion hierarchy.  Catching this (or a
@@ -183,8 +196,8 @@ class AllocationFailed : public ResourceExhausted {
 ///   guard::ScopedBudget scope(budget);
 ///   auto result = automata::check_containment(sys, spec);  // budgeted
 ///
-/// Outside any scope, current() is ResourceBudget::from_env() (computed
-/// once per thread).
+/// Outside any scope, current() is config::current().budget (the
+/// SYMCEX_* budget variables; see guard/config.hpp).
 class ScopedBudget {
  public:
   explicit ScopedBudget(const ResourceBudget& budget);
@@ -193,7 +206,7 @@ class ScopedBudget {
   ScopedBudget(const ScopedBudget&) = delete;
   ScopedBudget& operator=(const ScopedBudget&) = delete;
 
-  /// The innermost ambient budget, or the environment-derived default.
+  /// The innermost ambient budget, or the configured default.
   [[nodiscard]] static const ResourceBudget& current();
 
  private:
@@ -233,10 +246,5 @@ class ScopedCheckpointHook {
   bool fired_ = false;
   ScopedCheckpointHook* prev_;
 };
-
-/// The wall-clock margin (nanoseconds) below which a deadline-budgeted
-/// manager fires the checkpoint hook: SYMCEX_CHECKPOINT_MARGIN_MS when
-/// set, else one eighth of the deadline.
-[[nodiscard]] std::uint64_t checkpoint_margin_ns(std::uint64_t deadline_ms);
 
 }  // namespace symcex::guard

@@ -21,6 +21,7 @@
 #include <utility>
 
 #include "fnv1a.hpp"
+#include "guard/config.hpp"
 #include "guard/fault.hpp"
 #include "version.hpp"
 
@@ -777,8 +778,7 @@ std::string sanitize_model_name(const std::string& name) {
 }  // namespace
 
 std::string default_checkpoint_dir() {
-  const char* dir = std::getenv("SYMCEX_CHECKPOINT_DIR");
-  return dir == nullptr ? std::string() : std::string(dir);
+  return config::current().checkpoint_dir;
 }
 
 std::string checkpoint_basename(const std::string& model_name,

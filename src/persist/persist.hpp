@@ -130,8 +130,8 @@ void save_check_snapshot(const std::string& path,
 /// the loaders; throws SnapshotError on a bad file.  Used by symcex-snap.
 [[nodiscard]] std::string describe_snapshot(const std::string& path);
 
-/// The directory checkpoints default to: SYMCEX_CHECKPOINT_DIR, or ""
-/// (checkpointing disabled) when unset.
+/// The directory checkpoints default to: config::current().checkpoint_dir
+/// (SYMCEX_CHECKPOINT_DIR), "" (checkpointing disabled) when unset.
 [[nodiscard]] std::string default_checkpoint_dir();
 
 /// Deterministic checkpoint filename for a (model, formula) pair:

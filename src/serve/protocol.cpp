@@ -46,10 +46,14 @@ namespace {
                                       const char* where) {
   const jsonmini::Value* m = v.find(key);
   if (m == nullptr) return 0;
-  if (!m->is_number() || m->number < 0 || std::floor(m->number) != m->number) {
+  // Above 2^53 a double no longer holds every integer, and from 2^64 on
+  // the cast below would be undefined: reject instead of converting.
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!m->is_number() || m->number < 0 || m->number > kMaxExact ||
+      std::floor(m->number) != m->number) {
     throw ProtocolError("field", std::string(where) + ": \"" +
                                      std::string(key) +
-                                     "\" must be a non-negative integer");
+                                     "\" must be an integer in [0, 2^53]");
   }
   return static_cast<std::uint64_t>(m->number);
 }

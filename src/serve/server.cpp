@@ -38,6 +38,7 @@
 #include "core/explain.hpp"
 #include "diag/metrics.hpp"
 #include "evidence/evidence.hpp"
+#include "guard/config.hpp"
 #include "guard/guard.hpp"
 #include "persist/persist.hpp"
 #include "version.hpp"
@@ -369,6 +370,7 @@ CheckResult Server::execute(const CheckRequest& request) {
   budget.deadline_ms = request.options.deadline_ms != 0
                            ? request.options.deadline_ms
                            : options_.default_deadline_ms;
+  budget.checkpoint_margin_ms = config::current().budget.checkpoint_margin_ms;
   ts.manager().install_budget(budget);
   core::Explainer explainer(*session->checker);
   const core::CheckOutcome outcome = explainer.check(spec);

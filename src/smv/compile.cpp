@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "diag/metrics.hpp"
+#include "guard/config.hpp"
 #include "smv/ast.hpp"
 #include "smv/smv.hpp"
 
@@ -118,7 +119,7 @@ class Compiler {
       : prog_(prog),
         findings_(options.findings),
         fold_(options.fold_constants.value_or(
-            diag::env_flag("SYMCEX_FOLD_CONST"))) {}
+            config::current().fold_constants)) {}
 
   SmvModel run() {
     builder_.system() = std::make_unique<ts::TransitionSystem>();

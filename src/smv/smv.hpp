@@ -149,8 +149,8 @@ struct CompileOptions {
   /// constant and whose next-state function provably re-produces it is
   /// pinned by a two-literal rail predicate instead of its full assignment
   /// relation (dead-assignment elimination; shrinks conjunct supports so
-  /// the cone-of-influence pass can sever it).  nullopt reads the
-  /// SYMCEX_FOLD_CONST environment flag.
+  /// the cone-of-influence pass can sever it).  nullopt reads
+  /// config::current().fold_constants (SYMCEX_FOLD_CONST).
   std::optional<bool> fold_constants;
   /// When non-null, semantic lint findings discovered during elaboration
   /// (unreachable case arms, range-dead comparisons, constant next-state

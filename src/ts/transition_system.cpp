@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <ostream>
 #include <stdexcept>
@@ -10,29 +9,15 @@
 
 #include "diag/metrics.hpp"
 #include "fnv1a.hpp"
+#include "guard/config.hpp"
 
 namespace symcex::ts {
-
-namespace {
-
-/// SYMCEX_CLUSTER_THRESHOLD, or 4096 DAG nodes when unset/unparseable.
-std::size_t default_cluster_threshold() {
-  constexpr std::size_t kDefault = 4096;
-  const char* env = std::getenv("SYMCEX_CLUSTER_THRESHOLD");
-  if (env == nullptr || *env == '\0') return kDefault;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return kDefault;
-  return static_cast<std::size_t>(value);
-}
-
-}  // namespace
 
 TransitionSystem::TransitionSystem() : TransitionSystem(bdd::ManagerOptions{}) {}
 
 TransitionSystem::TransitionSystem(const bdd::ManagerOptions& options)
     : mgr_(std::make_unique<bdd::Manager>(0, options)),
-      cluster_threshold_(default_cluster_threshold()) {
+      cluster_threshold_(config::current().cluster_threshold) {
   init_ = mgr_->one();
 }
 

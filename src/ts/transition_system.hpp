@@ -105,8 +105,8 @@ class TransitionSystem {
   void add_trans(const bdd::Bdd& part);
   /// Cap (in DAG nodes) under which finalize() greedily merges adjacent
   /// partition conjuncts into one cluster; 0 disables merging (one cluster
-  /// per part).  Defaults to the SYMCEX_CLUSTER_THRESHOLD environment
-  /// variable, or 4096 when unset.  Must be called before finalize().
+  /// per part).  Defaults to config::current().cluster_threshold
+  /// (SYMCEX_CLUSTER_THRESHOLD, 4096).  Must be called before finalize().
   void set_cluster_threshold(std::size_t max_dag_nodes);
   [[nodiscard]] std::size_t cluster_threshold() const {
     return cluster_threshold_;

@@ -7,10 +7,8 @@
 // run, so each emitted trace is independently re-checked against the raw,
 // unsimplified relation.
 
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -34,25 +32,6 @@ class ScopedCertify {
 
  private:
   bool old_;
-};
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_) {
-      ::setenv(name_, old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
 };
 
 using Builder = std::function<std::unique_ptr<ts::TransitionSystem>()>;
@@ -183,9 +162,10 @@ TEST(CaresetCrossMode, ClusterThresholdExtremesDoNotChangeResults) {
   for (const auto& mc : cases) {
     SCOPED_TRACE(mc.name);
     const auto base = run_config(mc, kBaseline);
-    for (const char* threshold : {"0", "1", "1000000000"}) {
+    for (const std::size_t threshold : {0u, 1u, 1000000000u}) {
       SCOPED_TRACE(threshold);
-      ScopedEnv env("SYMCEX_CLUSTER_THRESHOLD", threshold);
+      const test::ScopedConfig scope(
+          [threshold](config::Config& c) { c.cluster_threshold = threshold; });
       for (const auto& cfg : variant_configs()) {
         expect_same(mc, cfg, base, run_config(mc, cfg));
       }

@@ -13,6 +13,7 @@
 #include "bdd/bdd.hpp"
 #include "diag/json.hpp"
 #include "diag/metrics.hpp"
+#include "guard/config.hpp"
 #include "json_mini.hpp"  // tools/: the strict parser symcex-verify uses
 
 namespace symcex {
@@ -137,8 +138,20 @@ TEST_F(DiagTest, JsonShape) {
   std::ostringstream os;
   r.to_json(os);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"symcex_stats_version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"symcex_stats_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
+  // The effective configuration heads the document: one member per
+  // SYMCEX_* variable.
+  const jsonmini::Value root = jsonmini::parse(json);
+  const jsonmini::Value* config = root.find("config");
+  ASSERT_NE(config, nullptr);
+  ASSERT_TRUE(config->is_object());
+  EXPECT_EQ(config->object.size(), 17u);
+  EXPECT_TRUE(config->find("coi")->is_bool());
+  EXPECT_EQ(config->find("cluster_threshold")->number,
+            static_cast<double>(config::current().cluster_threshold));
+  EXPECT_EQ(config->find("evidence_dir")->string,
+            config::current().evidence_dir);
   EXPECT_NE(json.find("\"check/eg\""), std::string::npos);
   EXPECT_NE(json.find("\"fixpoint.eg_iterations\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"image.peak_dag\""), std::string::npos);

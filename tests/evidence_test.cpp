@@ -19,6 +19,7 @@
 #include "evidence/evidence.hpp"
 #include "json_mini.hpp"
 #include "models/models.hpp"
+#include "test_util.hpp"
 
 #ifndef SYMCEX_VERIFY_BIN
 #error "SYMCEX_VERIFY_BIN must point at the symcex-verify executable"
@@ -363,19 +364,24 @@ TEST(EvidenceBundle, EmitIfConfiguredHonoursEnvironment) {
   evidence::BundleBuilder bundle = evidence::from_explanation(
       *system, "counter", "EF max", explainer.explain("EF max"));
 
-  // Neither a directory nor the environment variable: no emission.
-  unsetenv("SYMCEX_EVIDENCE_DIR");
-  EXPECT_EQ(evidence::default_dir(), "");
-  EXPECT_FALSE(evidence::emit_if_configured(bundle, "", "nowhere"));
+  // Neither a directory nor the configured variable: no emission.
+  {
+    const test::ScopedConfig scope(
+        [](config::Config& c) { c.evidence_dir.clear(); });
+    EXPECT_EQ(evidence::default_dir(), "");
+    EXPECT_FALSE(evidence::emit_if_configured(bundle, "", "nowhere"));
+  }
 
   const std::string dir = fresh_dir();
-  setenv("SYMCEX_EVIDENCE_DIR", dir.c_str(), 1);
-  EXPECT_EQ(evidence::default_dir(), dir);
-  EXPECT_TRUE(evidence::emit_if_configured(bundle, "", "via_env"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/via_env.json"));
-  unsetenv("SYMCEX_EVIDENCE_DIR");
+  {
+    const test::ScopedConfig scope(
+        [&dir](config::Config& c) { c.evidence_dir = dir; });
+    EXPECT_EQ(evidence::default_dir(), dir);
+    EXPECT_TRUE(evidence::emit_if_configured(bundle, "", "via_env"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/via_env.json"));
+  }
 
-  // An explicit directory wins over the environment.
+  // An explicit directory wins over the configured one.
   const std::string other = dir + "_explicit";
   EXPECT_TRUE(evidence::emit_if_configured(bundle, other, "explicit"));
   EXPECT_TRUE(std::filesystem::exists(other + "/explicit.json"));

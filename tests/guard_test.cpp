@@ -1,10 +1,16 @@
 // Tests for the resource-governance layer (src/guard) and its enforcement
-// inside the BDD manager: budgets, ambient scopes, the exhaustion
-// exception hierarchy, cooperative checkpoints, soft-GC, and the
-// audit-clean-after-abort / rerun-after-raise guarantees.
+// inside the BDD manager: the SYMCEX_* configuration parser, budgets,
+// ambient scopes, the exhaustion exception hierarchy, cooperative
+// checkpoints, soft-GC, and the audit-clean-after-abort /
+// rerun-after-raise guarantees.
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <cstdint>
+#include <functional>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "bdd/bdd.hpp"
+#include "guard/config.hpp"
 #include "guard/guard.hpp"
 
 namespace symcex::guard {
@@ -44,18 +51,21 @@ TEST(ResourceBudget, SoftLimitResolution) {
   EXPECT_EQ(soft_only.effective_soft_node_limit(), 64u);
 }
 
+/// config::parse over a fixed set of variables instead of the environment.
+config::Config parse_vars(const std::map<std::string, std::string>& vars) {
+  return config::parse([&vars](const char* name) -> const char* {
+    const auto it = vars.find(name);
+    return it == vars.end() ? nullptr : it->second.c_str();
+  });
+}
+
 TEST(ResourceBudget, FromEnvReadsTheToggles) {
-  ::setenv("SYMCEX_NODE_LIMIT", "1234", 1);
-  ::setenv("SYMCEX_MEMORY_LIMIT_MB", "2", 1);
-  ::setenv("SYMCEX_DEADLINE_MS", "5678", 1);
-  ::setenv("SYMCEX_MAX_ITERATIONS", "9", 1);
-  ::setenv("SYMCEX_MAX_DEPTH", "4444", 1);
-  const ResourceBudget b = ResourceBudget::from_env();
-  ::unsetenv("SYMCEX_NODE_LIMIT");
-  ::unsetenv("SYMCEX_MEMORY_LIMIT_MB");
-  ::unsetenv("SYMCEX_DEADLINE_MS");
-  ::unsetenv("SYMCEX_MAX_ITERATIONS");
-  ::unsetenv("SYMCEX_MAX_DEPTH");
+  const ResourceBudget b = parse_vars({{"SYMCEX_NODE_LIMIT", "1234"},
+                                       {"SYMCEX_MEMORY_LIMIT_MB", "2"},
+                                       {"SYMCEX_DEADLINE_MS", "5678"},
+                                       {"SYMCEX_MAX_ITERATIONS", "9"},
+                                       {"SYMCEX_MAX_DEPTH", "4444"}})
+                               .budget;
   EXPECT_EQ(b.max_live_nodes, 1234u);
   EXPECT_EQ(b.max_memory_bytes, 2u * 1024 * 1024);
   EXPECT_EQ(b.deadline_ms, 5678u);
@@ -64,13 +74,107 @@ TEST(ResourceBudget, FromEnvReadsTheToggles) {
 }
 
 TEST(ResourceBudget, FromEnvIgnoresGarbage) {
-  ::setenv("SYMCEX_NODE_LIMIT", "not-a-number", 1);
-  ::setenv("SYMCEX_MAX_DEPTH", "", 1);
-  const ResourceBudget b = ResourceBudget::from_env();
-  ::unsetenv("SYMCEX_NODE_LIMIT");
-  ::unsetenv("SYMCEX_MAX_DEPTH");
+  testing::internal::CaptureStderr();
+  const ResourceBudget b = parse_vars({{"SYMCEX_NODE_LIMIT", "not-a-number"},
+                                       {"SYMCEX_MAX_DEPTH", ""}})
+                               .budget;
+  (void)testing::internal::GetCapturedStderr();
   EXPECT_EQ(b.max_live_nodes, 0u);
   EXPECT_EQ(b.max_recursion_depth, 100'000u);  // default kept
+}
+
+/// One SYMCEX_* variable: its Config field as gtest prints it, the
+/// field's default, a good value with the field it parses to, and a bad
+/// value (kept at the default), or "" where every value is good.
+struct VariableCase {
+  const char* name;
+  std::function<std::string(const config::Config&)> field;
+  const char* default_value;
+  const char* good;
+  const char* good_value;
+  const char* bad;
+};
+
+#define FIELD(m) \
+  [](const config::Config& c) { return testing::PrintToString(c.m); }
+
+const VariableCase kVariables[] = {
+    {"SYMCEX_CARE_SET", FIELD(care_set), "false", "on", "true", "maybe"},
+    {"SYMCEX_COI", FIELD(coi), "false", "true", "true", "enabled"},
+    {"SYMCEX_REORDER", FIELD(reorder), "false", "yes", "true", "-1"},
+    {"SYMCEX_FOLD_CONST", FIELD(fold_constants), "false", "1", "true", "2"},
+    {"SYMCEX_CLUSTER_THRESHOLD", FIELD(cluster_threshold), "4096", "0", "0",
+     "4k"},
+    {"SYMCEX_CERTIFY", FIELD(certify), "false", "1", "true", "certify"},
+    {"SYMCEX_AUDIT", FIELD(audit), "false", "on", "true", "onn"},
+    {"SYMCEX_NODE_LIMIT", FIELD(budget.max_live_nodes), "0", "8192", "8192",
+     "-5"},
+    {"SYMCEX_MEMORY_LIMIT_MB", FIELD(budget.max_memory_bytes), "0", "2",
+     "2097152", "1.5"},
+    {"SYMCEX_DEADLINE_MS", FIELD(budget.deadline_ms), "0", "5678", "5678",
+     "99999999999999999999999"},
+    {"SYMCEX_MAX_ITERATIONS", FIELD(budget.max_fixpoint_iterations), "0", "9",
+     "9", "nine"},
+    {"SYMCEX_MAX_DEPTH", FIELD(budget.max_recursion_depth), "100000", "0", "0",
+     "1e5"},
+    {"SYMCEX_CHECKPOINT_MARGIN_MS", FIELD(budget.checkpoint_margin_ms), "0",
+     "600000", "600000", "0x10"},
+    {"SYMCEX_CHECKPOINT_DIR", FIELD(checkpoint_dir), "\"\"", "ck", "\"ck\"",
+     ""},
+    {"SYMCEX_EVIDENCE_DIR", FIELD(evidence_dir), "\"\"", "ev", "\"ev\"", ""},
+    {"SYMCEX_FAULT_SPEC", FIELD(fault_spec), "\"\"", "alloc@mk:50",
+     "\"alloc@mk:50\"", "alloc@0"},
+    {"SYMCEX_STATS", FIELD(stats), "false", "yes", "true", "enable"},
+};
+
+#undef FIELD
+
+TEST(ConfigTest, EveryVariableHasADefaultAGoodAndABadValue) {
+  ASSERT_EQ(std::size(kVariables), 17u);
+  for (const VariableCase& v : kVariables) {
+    SCOPED_TRACE(v.name);
+    EXPECT_EQ(v.field(config::Config{}), v.default_value);
+    EXPECT_EQ(v.field(parse_vars({})), v.default_value);
+    EXPECT_EQ(v.field(parse_vars({{v.name, ""}})), v.default_value);
+    EXPECT_EQ(v.field(parse_vars({{v.name, v.good}})), v.good_value);
+
+    testing::internal::CaptureStderr();
+    const config::Config bad = parse_vars({{v.name, v.bad}});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(v.field(bad), v.default_value);
+    // A rejected value costs one stderr line, naming the variable.
+    const std::ptrdiff_t lines = *v.bad == '\0' ? 0 : 1;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), lines) << err;
+    EXPECT_EQ(err.find(v.name) != std::string::npos, lines == 1) << err;
+  }
+}
+
+TEST(ConfigTest, FlagsTakeOnlyTheNamedWords) {
+  for (const char* on : {"1", "true", "on", "yes"}) {
+    EXPECT_TRUE(parse_vars({{"SYMCEX_STATS", on}}).stats) << on;
+  }
+  for (const char* off : {"0", "false", "off", "no"}) {
+    EXPECT_FALSE(parse_vars({{"SYMCEX_COI", off}}).coi) << off;
+  }
+}
+
+TEST(ConfigTest, MemoryLimitSaturatesInsteadOfWrapping) {
+  // 2^44 + 1 MB is 2^64 + 2^20 bytes: the product used to wrap to 1 MiB.
+  const ResourceBudget b =
+      parse_vars({{"SYMCEX_MEMORY_LIMIT_MB", "17592186044417"}}).budget;
+  EXPECT_EQ(b.max_memory_bytes, std::numeric_limits<std::size_t>::max());
+}
+
+TEST(ConfigTest, InstallIsWhatCurrentReturns) {
+  const config::Config saved = config::current();
+  config::Config edited = saved;
+  edited.cluster_threshold = 17;
+  edited.budget.max_live_nodes = 4321;
+  config::install(edited);
+  EXPECT_EQ(config::current().cluster_threshold, 17u);
+  EXPECT_EQ(ScopedBudget::current().max_live_nodes, 4321u);
+  config::install(saved);
+  EXPECT_EQ(config::current().cluster_threshold, saved.cluster_threshold);
 }
 
 TEST(Exceptions, HierarchyCarriesResourceAndSpent) {
@@ -217,6 +321,36 @@ TEST(ManagerBudget, DeadlineAbortsApplyAndCheckpoint) {
   m.clear_budget();
   EXPECT_NO_THROW(m.checkpoint("test-caller"));
   EXPECT_EQ((m.var(0) & m.var(1)).sat_count(2), 1.0);
+}
+
+TEST(ManagerBudget, HugeDeadlineSaturatesInsteadOfExpiring) {
+  // 18446744073709 ms is just above 2^64 ns: the nanosecond deadline used
+  // to wrap to a moment already past, so the first poll threw.
+  for (const std::uint64_t ms :
+       {std::uint64_t{18446744073709}, std::numeric_limits<std::uint64_t>::max()}) {
+    bdd::Manager m{8};
+    ResourceBudget b;
+    b.deadline_ms = ms;
+    m.install_budget(b);
+    EXPECT_NO_THROW(m.checkpoint("test-caller")) << ms;
+    EXPECT_EQ((m.var(0) & m.var(1)).sat_count(2), 1.0) << ms;
+  }
+}
+
+TEST(ManagerBudget, HugeCheckpointMarginSaturatesAndFires) {
+  ResourceBudget b;
+  b.deadline_ms = 600000;
+  EXPECT_EQ(b.effective_checkpoint_margin_ms(), 75000u);  // auto: 1/8
+  // A margin of 2^64 / 10^6 + 1 ms used to wrap to a tiny margin that
+  // never fired; saturated, it covers the whole deadline.
+  b.checkpoint_margin_ms = 18446744073710;
+  EXPECT_EQ(b.effective_checkpoint_margin_ms(), 18446744073710u);
+  bdd::Manager m{4};
+  m.install_budget(b);
+  int fired = 0;
+  const ScopedCheckpointHook hook([&fired] { ++fired; });
+  m.checkpoint("test-caller");
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(ManagerBudget, MemoryCeilingFiresAtCheckpoints) {

@@ -6,7 +6,6 @@
 // injected I/O faults exercise both failure directions of the disk path.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -229,11 +228,10 @@ TEST(CheckSnapshot, CompletedCheckDiscardsItsMarginCheckpoint) {
 /// A deadline budget whose checkpoint margin covers the whole deadline,
 /// so the margin hook fires at the first cooperative checkpoint.
 void install_margin_deadline(Manager& m) {
-  ::setenv("SYMCEX_CHECKPOINT_MARGIN_MS", "600000", 1);
   guard::ResourceBudget budget;
   budget.deadline_ms = 600000;
+  budget.checkpoint_margin_ms = 600000;
   m.install_budget(budget);
-  ::unsetenv("SYMCEX_CHECKPOINT_MARGIN_MS");
 }
 
 TEST(CheckSnapshot, MarginCheckpointFiresThenCompletedRunDeletesIt) {

@@ -121,6 +121,10 @@ TEST(ServeProtocol, MalformedRequestsThrowTypedErrors) {
   EXPECT_EQ(check_of("{\"op\":\"check\"}"), "field");  // no model/spec
   EXPECT_EQ(check_of("{\"op\":\"check\",\"model\":\"counter\"}"), "field");
   EXPECT_EQ(check_of("{\"op\":\"batch\"}"), "field");  // no jobs
+  // A count past 2^53 is rejected, not cast (from 2^64 on, undefined).
+  EXPECT_EQ(check_of("{\"op\":\"check\",\"model\":\"counter\",\"spec\":"
+                     "\"AG EF zero\",\"options\":{\"deadline_ms\": 1e30}}"),
+            "field");
 }
 
 TEST(ServeProtocol, CheckResultRoundTrips) {

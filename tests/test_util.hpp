@@ -1,6 +1,7 @@
 // Shared helpers for the SymCeX test suite: random transition systems and
 // random CTL formulas, used to cross-check the symbolic checker against
-// the independent explicit-state implementation.
+// the independent explicit-state implementation, and a scoped edit of the
+// runtime configuration.
 
 #pragma once
 
@@ -10,9 +11,28 @@
 
 #include "bdd/bdd.hpp"
 #include "ctl/formula.hpp"
+#include "guard/config.hpp"
 #include "ts/transition_system.hpp"
 
 namespace symcex::test {
+
+/// Installs an edited copy of config::current() for the scope's lifetime;
+/// the previous configuration comes back on exit.
+class ScopedConfig {
+ public:
+  template <typename Edit>
+  explicit ScopedConfig(Edit edit) : saved_(config::current()) {
+    config::Config edited = saved_;
+    edit(edited);
+    config::install(edited);
+  }
+  ~ScopedConfig() { config::install(saved_); }
+  ScopedConfig(const ScopedConfig&) = delete;
+  ScopedConfig& operator=(const ScopedConfig&) = delete;
+
+ private:
+  config::Config saved_;
+};
 
 /// A random boolean function over the current rail of `m`.
 inline bdd::Bdd random_predicate(ts::TransitionSystem& m, std::mt19937& rng) {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "evidence/evidence.hpp"
+#include "guard/config.hpp"
 #include "serve/serve.hpp"
 #include "version.hpp"
 
@@ -96,6 +97,7 @@ bool report(const CheckResult& r, const std::string& evidence_dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  symcex::config::install(symcex::config::from_env());
   std::string socket_path;
   std::string command;
   std::string batch_file;

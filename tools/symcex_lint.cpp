@@ -22,9 +22,11 @@
 #include <vector>
 
 #include "analyze/analyze.hpp"
+#include "guard/config.hpp"
 #include "version.hpp"
 
 int main(int argc, char** argv) {
+  symcex::config::install(symcex::config::from_env());
   using namespace symcex;
 
   bool json = false;

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "guard/config.hpp"
 #include "serve/serve.hpp"
 #include "version.hpp"
 
@@ -64,6 +65,7 @@ bool parse_count(const std::string& text, std::uint64_t& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  symcex::config::install(symcex::config::from_env());
   symcex::serve::ServerOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "guard/config.hpp"
 #include "persist/persist.hpp"
 #include "version.hpp"
 
@@ -81,6 +82,7 @@ int demo(const std::string& out_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  symcex::config::install(symcex::config::from_env());
   const auto usage = [] {
     std::cerr << "usage: symcex-snap info|load|demo FILE.sxsnap\n"
                  "       symcex-snap --version\n";
