@@ -79,7 +79,8 @@ std::unique_ptr<ts::TransitionSystem> lockstep_bank(std::uint32_t banks,
   std::vector<std::vector<ts::VarId>> bank_bits;
   bank_bits.reserve(banks);
   for (std::uint32_t k = 0; k < banks; ++k) {
-    bank_bits.push_back(m->add_vector("c" + std::to_string(k), width));
+    bank_bits.push_back(
+        m->add_vector(std::string("c").append(std::to_string(k)), width));
   }
   bdd::Bdd init = m->manager().one();
   for (const auto& bits : bank_bits) {

@@ -29,7 +29,7 @@ std::unique_ptr<ts::TransitionSystem> random_fair_system(
   std::mt19937 rng(seed);
   auto m = std::make_unique<ts::TransitionSystem>();
   for (std::uint32_t v = 0; v < vars; ++v) {
-    m->add_var("x" + std::to_string(v));
+    m->add_var(std::string("x").append(std::to_string(v)));
   }
   bdd::Bdd init = m->manager().one();
   for (std::uint32_t v = 0; v < vars; ++v) init &= !m->cur(v);

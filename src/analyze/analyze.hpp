@@ -20,9 +20,9 @@
 //         R(s,s')  =  R_kept(c,c')  &  R_dropped(d,d')
 //
 //     with c the cone variables and d the dropped ones.  The Reduction
-//     owns the kept conjuncts re-clustered under the system's threshold,
-//     fresh early-quantification schedules, and reduced image / preimage
-//     sweeps that core::EvalContext substitutes for the full ones.  The
+//     holds the kept conjuncts as ts::Relations (re-clustered under the
+//     system's threshold, and in one cluster) that core::EvalContext
+//     sweeps in place of the system's; it has no sweep code of its own.  The
 //     soundness argument (verdict preservation, trace re-inflation, and
 //     why certification still replays against the raw unreduced relation)
 //     is DESIGN.md §12.
@@ -103,9 +103,8 @@ struct Cone {
                                      const DepGraph& graph,
                                      const std::vector<bdd::Bdd>& seeds);
 
-/// A cone-reduced view of a transition system: the kept conjuncts merged
-/// into fresh size-thresholded clusters with their own early-quantification
-/// schedules, plus the reduced reachable set (the care set under COI).
+/// A cone-reduced view of a transition system: the kept conjuncts as
+/// relations, plus the reduced reachable set (the care set under COI).
 /// The underlying TransitionSystem is never modified; certify and the
 /// evidence exporters keep seeing the raw relation.
 class Reduction {
@@ -119,25 +118,15 @@ class Reduction {
   /// Names of the dropped state variables, in VarId order.
   [[nodiscard]] std::vector<std::string> dropped_names() const;
 
-  /// The kept conjuncts merged under the system's cluster threshold.
-  [[nodiscard]] const std::vector<bdd::Bdd>& clusters() const {
-    return clusters_;
-  }
-  /// Monolithic reduced relation (conjoined lazily).
-  [[nodiscard]] const bdd::Bdd& trans() const;
+  /// The reduced relation under `method`: the kept conjuncts merged under
+  /// the system's cluster threshold (built at construction), or those
+  /// clusters conjoined into one (built on first use).  With every
+  /// conjunct dropped it is the one cluster `true`.
+  [[nodiscard]] const ts::Relation& relation(ts::ImageMethod method) const;
   /// States reachable from init under the reduced relation (lazy; this is
   /// the care set when COI and care-set simplification combine).  Closed
   /// under the reduced relation by construction.
   [[nodiscard]] const bdd::Bdd& reachable() const;
-
-  /// Reduced image / preimage, mirroring ts::TransitionSystem's sweeps
-  /// over the reduced clusters.  `care` entries must have been built
-  /// against this reduction's clusters (core::EvalContext does).
-  [[nodiscard]] bdd::Bdd image(const bdd::Bdd& states, ts::ImageMethod method,
-                               const ts::DontCare* care = nullptr) const;
-  [[nodiscard]] bdd::Bdd preimage(const bdd::Bdd& states,
-                                  ts::ImageMethod method,
-                                  const ts::DontCare* care = nullptr) const;
 
   /// Existentially quantify the dropped current-rail variables out of a
   /// state set: the projection of a reduced-trace state onto the cone.
@@ -151,11 +140,9 @@ class Reduction {
   const ts::TransitionSystem& ts_;
   Cone cone_;
   std::uint64_t fingerprint_;
-  std::vector<bdd::Bdd> clusters_;
-  std::vector<bdd::Bdd> img_sched_;
-  std::vector<bdd::Bdd> pre_sched_;
+  ts::Relation clustered_;
   bdd::Bdd dropped_cur_cube_;
-  mutable bdd::Bdd trans_;      // lazy monolithic reduced relation
+  mutable std::optional<ts::Relation> monolithic_;  // built on first use
   mutable bdd::Bdd reachable_;  // lazy reduced reachable set
 };
 

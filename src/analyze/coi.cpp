@@ -76,57 +76,16 @@ Reduction::Reduction(const ts::TransitionSystem& ts, Cone cone,
                      const DepGraph& graph)
     : ts_(ts), cone_(std::move(cone)), fingerprint_(graph.fingerprint()) {
   bdd::Manager& mgr = const_cast<ts::TransitionSystem&>(ts_).manager();
-  const auto& parts = ts_.trans_parts();
-
-  // Merge the kept conjuncts into size-thresholded clusters exactly the way
-  // finalize() merges the full partition (same threshold, same insertion
-  // order), so the reduced sweeps inherit the tuning of the full ones.
-  const std::size_t threshold = ts_.cluster_threshold();
+  // Cluster the kept conjuncts exactly the way finalize() clusters the full
+  // partition (same threshold, same insertion order), so the reduced
+  // sweeps inherit the tuning of the full ones.
+  std::vector<bdd::Bdd> kept;
+  kept.reserve(cone_.kept_parts.size());
   for (const std::size_t idx : cone_.kept_parts) {
-    const bdd::Bdd& p = parts[idx];
-    if (!clusters_.empty() && threshold > 0) {
-      const bdd::Bdd merged = clusters_.back() & p;
-      if (merged.dag_size() <= threshold) {
-        clusters_.back() = merged;
-        continue;
-      }
-    }
-    clusters_.push_back(p);
+    kept.push_back(ts_.trans_parts()[idx]);
   }
-
-  // Early-quantification schedules over the reduced clusters, mirroring
-  // TransitionSystem::build_schedules: a rail variable may be quantified at
-  // the last cluster touching it; variables in no cluster (all dropped
-  // variables, and cone variables no kept conjunct reads) go in slot 0.
-  const std::size_t k = clusters_.size();
-  const std::size_t n = ts_.num_state_vars();
-  std::vector<std::vector<std::uint32_t>> img_vars(std::max<std::size_t>(k, 1));
-  std::vector<std::vector<std::uint32_t>> pre_vars(std::max<std::size_t>(k, 1));
-  std::vector<std::size_t> last_cur(2 * n, 0);
-  std::vector<std::size_t> last_next(2 * n, 0);
-  std::vector<bool> seen_cur(2 * n, false);
-  std::vector<bool> seen_next(2 * n, false);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (const std::uint32_t x : clusters_[i].support()) {
-      if (x % 2 == 0) {
-        last_cur[x] = i;
-        seen_cur[x] = true;
-      } else {
-        last_next[x] = i;
-        seen_next[x] = true;
-      }
-    }
-  }
-  for (ts::VarId v = 0; v < n; ++v) {
-    const std::uint32_t c = 2 * v;
-    const std::uint32_t nx = 2 * v + 1;
-    img_vars[seen_cur[c] ? last_cur[c] : 0].push_back(c);
-    pre_vars[seen_next[nx] ? last_next[nx] : 0].push_back(nx);
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    img_sched_.push_back(mgr.cube(img_vars[i]));
-    pre_sched_.push_back(mgr.cube(pre_vars[i]));
-  }
+  clustered_ = ts::Relation(mgr, kept, ts_.cluster_threshold(),
+                            ts_.num_state_vars());
 
   std::vector<std::uint32_t> dropped_curs;
   dropped_curs.reserve(cone_.dropped.size());
@@ -141,14 +100,15 @@ std::vector<std::string> Reduction::dropped_names() const {
   return out;
 }
 
-const bdd::Bdd& Reduction::trans() const {
-  if (trans_.is_null()) {
+const ts::Relation& Reduction::relation(ts::ImageMethod method) const {
+  if (method == ts::ImageMethod::kPartitioned) return clustered_;
+  if (!monolithic_) {
     bdd::Manager& mgr = const_cast<ts::TransitionSystem&>(ts_).manager();
-    bdd::Bdd acc = mgr.one();
-    for (const bdd::Bdd& c : clusters_) acc &= c;
-    trans_ = acc;
+    monolithic_ = ts::Relation(mgr, clustered_.clusters(),
+                               ts::Relation::kOneCluster,
+                               ts_.num_state_vars());
   }
-  return trans_;
+  return *monolithic_;
 }
 
 const bdd::Bdd& Reduction::reachable() const {
@@ -160,64 +120,13 @@ const bdd::Bdd& Reduction::reachable() const {
     bdd::FixpointGuard guard(mgr, "coi.reachable");
     while (!frontier.is_false()) {
       guard.tick();
-      const bdd::Bdd img = image(frontier, ts::ImageMethod::kPartitioned);
+      const bdd::Bdd img = clustered_.image(frontier);
       frontier = img - reached;
       reached |= frontier;
     }
     reachable_ = reached;
   }
   return reachable_;
-}
-
-bdd::Bdd Reduction::image(const bdd::Bdd& states, ts::ImageMethod method,
-                          const ts::DontCare* care) const {
-  bdd::Manager& mgr = const_cast<ts::TransitionSystem&>(ts_).manager();
-  if (diag::enabled()) diag::Registry::global().add("coi.image.calls");
-  if (method == ts::ImageMethod::kMonolithic || clusters_.size() <= 1) {
-    // With every conjunct dropped the reduced relation is `true`; the
-    // monolithic AndExists handles that uniformly.
-    const bdd::Bdd& rel =
-        care != nullptr && !care->trans.is_null() ? care->trans : trans();
-    return mgr.rel_next(states, rel, ts_.cur_cube());
-  }
-  const std::vector<bdd::Bdd>& rels =
-      care != nullptr && !care->clusters.empty() ? care->clusters : clusters_;
-  bdd::Bdd acc = states;
-  for (std::size_t i = 0; i + 1 < rels.size(); ++i) {
-    acc = mgr.and_exists(acc, rels[i], img_sched_[i]);
-  }
-  return mgr.rel_next(acc, rels.back(), img_sched_[rels.size() - 1]);
-}
-
-bdd::Bdd Reduction::preimage(const bdd::Bdd& states, ts::ImageMethod method,
-                             const ts::DontCare* care) const {
-  bdd::Manager& mgr = const_cast<ts::TransitionSystem&>(ts_).manager();
-  if (diag::enabled()) diag::Registry::global().add("coi.preimage.calls");
-  bdd::Bdd operand = states;
-  if (care != nullptr) {
-    const bdd::Bdd reduced = operand.minimize(care->set);
-    if (reduced.dag_size() < operand.dag_size()) operand = reduced;
-  }
-  if (method == ts::ImageMethod::kMonolithic || clusters_.size() <= 1) {
-    const bdd::Bdd& rel =
-        care != nullptr && !care->trans.is_null() ? care->trans : trans();
-    bdd::Bdd result = mgr.rel_prev(operand, rel, ts_.next_cube());
-    if (care != nullptr) result &= care->set;
-    return result;
-  }
-  const std::vector<bdd::Bdd>& rels =
-      care != nullptr && !care->clusters.empty() ? care->clusters : clusters_;
-  bdd::Bdd acc = operand;
-  for (std::size_t i = 0; i < rels.size(); ++i) {
-    acc = i == 0 ? mgr.rel_prev(acc, rels[i], pre_sched_[i])
-                 : mgr.and_exists(acc, rels[i], pre_sched_[i]);
-    if (care != nullptr && i + 1 < rels.size()) {
-      const bdd::Bdd reduced = acc.minimize(care->set);
-      if (reduced.dag_size() < acc.dag_size()) acc = reduced;
-    }
-  }
-  if (care != nullptr) acc &= care->set;
-  return acc;
 }
 
 bdd::Bdd Reduction::project(const bdd::Bdd& states) const {

@@ -104,7 +104,8 @@ void Checker::prepare(const std::vector<bdd::Bdd>& seeds) {
       const auto& c = reduction_->cone();
       r.add_in("analyze", "coi_installs", 1);
       r.add_in("analyze", "coi_vars_dropped", c.dropped.size());
-      const std::size_t reduced = reduction_->clusters().size();
+      const std::size_t reduced =
+          reduction_->relation(ts::ImageMethod::kPartitioned).clusters().size();
       r.add_in("analyze", "coi_clusters_dropped",
                full_clusters > reduced ? full_clusters - reduced : 0);
     }

@@ -17,23 +17,36 @@ EvalContext::EvalContext(ts::TransitionSystem& ts, ts::ImageMethod method,
 void EvalContext::set_reduction(const analyze::Reduction* reduction) {
   if (reduction_ == reduction) return;
   reduction_ = reduction;
-  // The care set and the restricted relation copies were derived from the
-  // previous relation view; rebuild lazily on the next sweep.
+  // The relation, the care set and its restricted copy belong to the
+  // previous view; resolve them again lazily on the next sweep.
+  exact_ = nullptr;
   care_ready_ = false;
-  care_on_ = false;
-  care_ = ts::DontCare{};
+  restricted_.reset();
 }
 
 bool EvalContext::care_active() {
   ensure_care();
-  return care_on_;
+  return restricted_.has_value();
 }
 
 const bdd::Bdd& EvalContext::care_set() {
   ensure_care();
-  if (care_on_) return care_.set;
+  if (restricted_) return restricted_->care_set();
   if (trivial_care_.is_null()) trivial_care_ = ts_.manager().one();
   return trivial_care_;
+}
+
+const ts::Relation& EvalContext::exact() {
+  if (exact_ == nullptr) {
+    exact_ = reduction_ != nullptr ? &reduction_->relation(method_)
+                                   : &ts_.relation(method_);
+  }
+  return *exact_;
+}
+
+const ts::Relation& EvalContext::relation() {
+  ensure_care();
+  return restricted_ ? *restricted_ : exact();
 }
 
 void EvalContext::ensure_care() {
@@ -59,41 +72,18 @@ void EvalContext::ensure_care() {
       if (diag_on) r.add("care.trivial");
       return;
     }
-    ts::DontCare dc;
-    dc.set = reach;
-    std::size_t before = 0;
-    std::size_t after = 0;
-    // Build only the relation copy the configured sweep method reads.
-    // minimize() agrees with the exact conjunct on every current-rail
-    // assignment inside the care set; each restricted copy is kept only
-    // when it is actually smaller.  Support never grows, so the
-    // early-quantification schedules stay valid for the restricted copies.
-    if (method_ == ts::ImageMethod::kMonolithic) {
-      const bdd::Bdd& exact =
-          reduction_ != nullptr ? reduction_->trans() : ts_.trans();
-      before = exact.dag_size();
-      const bdd::Bdd reduced = exact.minimize(reach);
-      dc.trans = reduced.dag_size() <= before ? reduced : exact;
-      after = dc.trans.dag_size();
-    } else {
-      const std::vector<bdd::Bdd>& clusters =
-          reduction_ != nullptr ? reduction_->clusters() : ts_.trans_clusters();
-      for (const auto& c : clusters) {
-        const bdd::Bdd reduced = c.minimize(reach);
-        before += c.dag_size();
-        dc.clusters.push_back(reduced.dag_size() <= c.dag_size() ? reduced
-                                                                 : c);
-        after += dc.clusters.back().dag_size();
-      }
-    }
-    care_ = std::move(dc);
-    care_on_ = true;
+    restricted_ = exact().restricted(reach);
     care_ready_ = true;
     if (diag_on) {
+      const auto total_dag = [](const ts::Relation& rel) {
+        std::size_t nodes = 0;
+        for (const bdd::Bdd& c : rel.clusters()) nodes += c.dag_size();
+        return static_cast<double>(nodes);
+      };
       r.add("care.activated");
       r.gauge_set("care.set_dag", static_cast<double>(reach.dag_size()));
-      r.gauge_set("care.rel_dag_exact", static_cast<double>(before));
-      r.gauge_set("care.rel_dag_restricted", static_cast<double>(after));
+      r.gauge_set("care.rel_dag_exact", total_dag(exact()));
+      r.gauge_set("care.rel_dag_restricted", total_dag(*restricted_));
     }
   } catch (const guard::ResourceExhausted&) {
     // The reachability fixpoint lost the budget race.  Care is purely an
@@ -106,23 +96,19 @@ void EvalContext::ensure_care() {
 }
 
 bdd::Bdd EvalContext::image(const bdd::Bdd& states) {
-  ensure_care();
+  const ts::Relation& rel = relation();
 #ifndef NDEBUG
   // The exactness of the restricted image rests on the operand being
-  // reachable (see ts::DontCare); every core call site satisfies this.
-  assert((!care_on_ || states.implies(care_.set)) &&
+  // reachable (see ts::Relation::restricted); every core call site
+  // satisfies this.
+  assert((!restricted_ || states.implies(restricted_->care_set())) &&
          "EvalContext::image: operand leaves the care set");
 #endif
-  const ts::DontCare* care = care_on_ ? &care_ : nullptr;
-  if (reduction_ != nullptr) return reduction_->image(states, method_, care);
-  return ts_.image(states, method_, care);
+  return rel.image(states);
 }
 
 bdd::Bdd EvalContext::preimage(const bdd::Bdd& states) {
-  ensure_care();
-  const ts::DontCare* care = care_on_ ? &care_ : nullptr;
-  if (reduction_ != nullptr) return reduction_->preimage(states, method_, care);
-  return ts_.preimage(states, method_, care);
+  return relation().preimage(states);
 }
 
 }  // namespace symcex::core

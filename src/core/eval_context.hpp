@@ -2,11 +2,11 @@
 //
 // Every fixpoint the checker, witness generator, explainer, CTL* engine
 // and containment product run is a chain of image/preimage calls.  The
-// EvalContext is the single seam those calls go through: it fixes the
-// sweep method (monolithic vs clustered) and, when care-set simplification
-// is on (SYMCEX_CARE_SET=1 or CheckOptions::use_care_set), owns the
-// reachable-state care set and the care-restricted relation copies that
-// ts::TransitionSystem's sweeps consume.
+// EvalContext is the single seam those calls go through: it picks the
+// ts::Relation they sweep (the system's or an installed reduction's, under
+// the configured ImageMethod) and, when care-set simplification is on
+// (SYMCEX_CARE_SET=1 or CheckOptions::use_care_set), owns the
+// reachable-state care set and the relation restricted to it.
 //
 // Soundness contract (proved in DESIGN.md §9):
 //
@@ -52,9 +52,9 @@ class EvalContext {
   [[nodiscard]] ts::TransitionSystem& system() { return ts_; }
   [[nodiscard]] ts::ImageMethod method() const { return method_; }
   /// Route every sweep through a cone-of-influence reduction (nullptr to
-  /// uninstall; DESIGN.md §12).  Resets the lazy care-set state: under a
-  /// reduction the care set is the reduced reachable states and the
-  /// restricted relation copies are built from the reduced clusters.  The
+  /// uninstall; DESIGN.md §12).  Resets the lazy relation and care-set
+  /// state: under a reduction the care set is the reduced reachable states
+  /// and the restricted relation is built from the reduced one.  The
   /// pointer is owned by the installing Checker and must outlive its use.
   void set_reduction(const analyze::Reduction* reduction);
   /// The active reduction, or nullptr when sweeps are exact.
@@ -79,14 +79,20 @@ class EvalContext {
 
  private:
   void ensure_care();
+  /// The relation sweeps run on: the restricted copy while care is active,
+  /// else the exact one.
+  const ts::Relation& relation();
+  /// The exact relation of the installed view under method_ (resolved on
+  /// first use: the one-cluster relation is conjoined lazily).
+  const ts::Relation& exact();
 
   ts::TransitionSystem& ts_;
   ts::ImageMethod method_;
   const analyze::Reduction* reduction_ = nullptr;
+  const ts::Relation* exact_ = nullptr;
   bool care_requested_;
   bool care_ready_ = false;  ///< lazy setup ran (activated or fell back)
-  bool care_on_ = false;     ///< care_ is populated and in use
-  ts::DontCare care_;
+  std::optional<ts::Relation> restricted_;  ///< set while care is active
   bdd::Bdd trivial_care_;    ///< constant one, returned while inactive
 };
 

@@ -19,23 +19,26 @@ namespace {
 // -- enable flag and the SYMCEX_STATS at-exit report ------------------------
 
 void report_at_exit() {
-  if (!enabled()) return;
+  if (!config::current().stats || !enabled()) return;
   auto& r = Registry::global();
   r.report(std::cerr);
   r.to_json(std::cerr);
   std::cerr << '\n';
 }
 
-bool init_from_config() {
-  const bool on = config::current().stats;
-  if (on) std::atexit(report_at_exit);
-  return on;
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{init_from_config()};
+  static std::atomic<bool> flag{config::current().stats};
   return flag;
 }
+
+// The report hook is registered at static initialisation, not on the first
+// enabled() call, so a binary whose engine code never asks still prints
+// its report and "config" line.  The configuration is built first, so it
+// is destroyed after the hook runs.
+const bool report_hook_registered = [] {
+  (void)config::current();
+  return std::atexit(report_at_exit) == 0;
+}();
 
 /// The effective configuration, one member per SYMCEX_* variable.
 void write_config(std::ostream& os) {

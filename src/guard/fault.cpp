@@ -84,7 +84,7 @@ std::vector<FaultEntry> FaultInjector::parse_spec(const std::string& spec) {
       count_text = rest;
     } else {
       entry.site = rest;
-      count_text = "1";
+      count_text.assign(1, '1');
     }
     if (count_text.empty() ||
         count_text.find_first_not_of("0123456789") != std::string::npos) {

@@ -87,8 +87,8 @@ std::unique_ptr<ts::TransitionSystem> counter_bank(
   std::vector<std::vector<ts::VarId>> banks;
   banks.reserve(options.banks);
   for (std::uint32_t k = 0; k < options.banks; ++k) {
-    banks.push_back(
-        m->add_vector("c" + std::to_string(k), options.width));
+    banks.push_back(m->add_vector(std::string("c").append(std::to_string(k)),
+                                  options.width));
   }
   bdd::Bdd init = m->manager().one();
   for (const auto& bits : banks) {

@@ -86,7 +86,7 @@ std::unique_ptr<ts::TransitionSystem> dining_philosophers(
   std::vector<ts::Field> phil;
   phil.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    phil.emplace_back(*m, "p" + std::to_string(i), 3);
+    phil.emplace_back(*m, std::string("p").append(std::to_string(i)), 3);
   }
   ts::Field moved(*m, "moved", n < 2 ? 2 : n);
 

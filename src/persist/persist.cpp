@@ -841,15 +841,16 @@ void save_check_snapshot(const std::string& path,
   // loader re-runs finalize() and insists the recomputed clusters and
   // early-quantification schedules equal these (canonicity makes the
   // comparison exact handle equality).
-  for (std::size_t i = 0; i < sys.trans_clusters().size(); ++i) {
-    add_root("cluster:" + std::to_string(i), sys.trans_clusters()[i]);
-  }
-  for (std::size_t i = 0; i < sys.image_schedule().size(); ++i) {
-    add_root("sched:img:" + std::to_string(i), sys.image_schedule()[i]);
-  }
-  for (std::size_t i = 0; i < sys.preimage_schedule().size(); ++i) {
-    add_root("sched:pre:" + std::to_string(i), sys.preimage_schedule()[i]);
-  }
+  const ts::Relation& clustered = sys.relation(ts::ImageMethod::kPartitioned);
+  const auto add_roots = [&](const std::string& prefix,
+                             const std::vector<Bdd>& bdds) {
+    for (std::size_t i = 0; i < bdds.size(); ++i) {
+      add_root(prefix + std::to_string(i), bdds[i]);
+    }
+  };
+  add_roots("cluster:", clustered.clusters());
+  add_roots("sched:img:", clustered.image_schedule());
+  add_roots("sched:pre:", clustered.preimage_schedule());
   if (!input.reachable.is_null()) add_root("reachable", input.reachable);
   if (!input.fair.is_null()) add_root("fairstates", input.fair);
   for (std::size_t k = 0; k < input.frontiers.size(); ++k) {
@@ -1007,12 +1008,13 @@ CheckSnapshot load_check_snapshot(const std::string& path) {
                               " disagree with the stored snapshot");
     }
   };
+  const ts::Relation& clustered = sys.relation(ts::ImageMethod::kPartitioned);
   verify_equal("recomputed clusters", indexed("cluster:"),
-               sys.trans_clusters());
+               clustered.clusters());
   verify_equal("recomputed image schedules", indexed("sched:img:"),
-               sys.image_schedule());
+               clustered.image_schedule());
   verify_equal("recomputed preimage schedules", indexed("sched:pre:"),
-               sys.preimage_schedule());
+               clustered.preimage_schedule());
 
   if (by_name.contains("reachable")) out.reachable = root("reachable");
   if (by_name.contains("fairstates")) out.fair = root("fairstates");

@@ -150,26 +150,7 @@ void TransitionSystem::finalize() {
   cur_cube_ = mgr_->cube(curs);
   next_cube_ = mgr_->cube(nexts);
 
-  // Merge the conjunctive partition into size-thresholded clusters: walk
-  // the parts in insertion order and conjoin into the current cluster while
-  // the product stays under the threshold.  Insertion order is kept (model
-  // builders emit related conjuncts adjacently), so the early-quantification
-  // schedule recomputed over clusters stays as tight as the per-part one.
-  clusters_.clear();
-  std::size_t max_cluster_dag = 0;
-  for (const auto& p : parts_) {
-    if (!clusters_.empty() && cluster_threshold_ > 0) {
-      const bdd::Bdd merged = clusters_.back() & p;
-      if (merged.dag_size() <= cluster_threshold_) {
-        clusters_.back() = merged;
-        max_cluster_dag = std::max(max_cluster_dag, merged.dag_size());
-        continue;
-      }
-    }
-    clusters_.push_back(p);
-    max_cluster_dag = std::max(max_cluster_dag, p.dag_size());
-  }
-  build_schedules();
+  clustered_ = Relation(*mgr_, parts_, cluster_threshold_, names_.size());
   // With reordering enabled, sift once over the fully built structure:
   // cluster merging just produced the session's big relations, so this is
   // the cheapest point to shrink them before the fixpoints begin.
@@ -177,9 +158,14 @@ void TransitionSystem::finalize() {
   if (diag::enabled()) {
     auto& r = diag::Registry::global();
     r.gauge_set_in("ts", "parts", static_cast<double>(parts_.size()));
-    r.gauge_set_in("ts", "clusters", static_cast<double>(clusters_.size()));
+    r.gauge_set_in("ts", "clusters",
+                   static_cast<double>(trans_clusters().size()));
     r.gauge_set_in("ts", "cluster_threshold",
                    static_cast<double>(cluster_threshold_));
+    std::size_t max_cluster_dag = 0;
+    for (const bdd::Bdd& c : trans_clusters()) {
+      max_cluster_dag = std::max(max_cluster_dag, c.dag_size());
+    }
     r.gauge_set_in("ts", "cluster_max_dag",
                    static_cast<double>(max_cluster_dag));
   }
@@ -291,6 +277,8 @@ std::string TransitionSystem::audit_check() const {
   }
 
   // -- partitioned/monolithic agreement --------------------------------------
+  const Relation& mono = relation(ImageMethod::kMonolithic);
+  const std::vector<bdd::Bdd>& clusters = trans_clusters();
   {
     bdd::Bdd product = mgr_->one();
     for (const auto& p : parts_) product &= p;
@@ -298,71 +286,32 @@ std::string TransitionSystem::audit_check() const {
       return fail("cached monolithic relation disagrees with the partition");
     }
     bdd::Bdd cluster_product = mgr_->one();
-    for (const auto& c : clusters_) cluster_product &= c;
+    for (const auto& c : clusters) cluster_product &= c;
     if (cluster_product != product) {
       return fail("clustered relation disagrees with the raw partition");
     }
   }
-  if (clusters_.empty() || clusters_.size() > parts_.size()) {
+  if (clusters.empty() || clusters.size() > parts_.size()) {
     return fail("cluster count out of range");
   }
-  if (img_sched_.size() != clusters_.size() ||
-      pre_sched_.size() != clusters_.size()) {
+  if (clustered_.image_schedule().size() != clusters.size() ||
+      clustered_.preimage_schedule().size() != clusters.size()) {
     return fail("quantification schedule length disagrees with the clusters");
   }
   if (!init_.is_null()) {
     // Probe with the initial states and their one-step image (not the full
     // reachable fixpoint, so finalize-time audits stay cheap).
-    const bdd::Bdd step = image(init_, ImageMethod::kMonolithic);
+    const bdd::Bdd step = mono.image(init_);
     for (const bdd::Bdd& probe : {init_, step}) {
-      if (image(probe, ImageMethod::kMonolithic) !=
-          image(probe, ImageMethod::kPartitioned)) {
+      if (mono.image(probe) != clustered_.image(probe)) {
         return fail("monolithic and partitioned image disagree");
       }
-      if (preimage(probe, ImageMethod::kMonolithic) !=
-          preimage(probe, ImageMethod::kPartitioned)) {
+      if (mono.preimage(probe) != clustered_.preimage(probe)) {
         return fail("monolithic and partitioned preimage disagree");
       }
     }
   }
   return "";
-}
-
-void TransitionSystem::build_schedules() {
-  // For the image sweep over clusters_ in order, current-rail variable x may
-  // be quantified at step i if no cluster j > i depends on it.  Variables in
-  // no cluster at all go into the step-0 cube.  Symmetric for preimage/next
-  // rail.
-  const std::size_t k = clusters_.size();
-  std::vector<std::vector<std::uint32_t>> img_vars(k);
-  std::vector<std::vector<std::uint32_t>> pre_vars(k);
-  std::vector<std::size_t> last_cur(2 * names_.size(), 0);
-  std::vector<std::size_t> last_next(2 * names_.size(), 0);
-  std::vector<bool> seen_cur(2 * names_.size(), false);
-  std::vector<bool> seen_next(2 * names_.size(), false);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (const std::uint32_t x : clusters_[i].support()) {
-      if (x % 2 == 0) {
-        last_cur[x] = i;
-        seen_cur[x] = true;
-      } else {
-        last_next[x] = i;
-        seen_next[x] = true;
-      }
-    }
-  }
-  for (VarId v = 0; v < names_.size(); ++v) {
-    const std::uint32_t c = 2 * v;
-    const std::uint32_t n = 2 * v + 1;
-    img_vars[seen_cur[c] ? last_cur[c] : 0].push_back(c);
-    pre_vars[seen_next[n] ? last_next[n] : 0].push_back(n);
-  }
-  img_sched_.clear();
-  pre_sched_.clear();
-  for (std::size_t i = 0; i < k; ++i) {
-    img_sched_.push_back(mgr_->cube(img_vars[i]));
-    pre_sched_.push_back(mgr_->cube(pre_vars[i]));
-  }
 }
 
 std::optional<bdd::Bdd> TransitionSystem::label(const std::string& name) const {
@@ -371,14 +320,18 @@ std::optional<bdd::Bdd> TransitionSystem::label(const std::string& name) const {
   return it->second;
 }
 
-const bdd::Bdd& TransitionSystem::trans() const {
-  require_finalized("trans");
-  if (trans_.is_null()) {
-    bdd::Bdd acc = mgr_->one();
-    for (const auto& p : parts_) acc &= p;
-    trans_ = acc;
+const Relation& TransitionSystem::relation(ImageMethod method) const {
+  require_finalized("relation");
+  if (method == ImageMethod::kPartitioned) return clustered_;
+  if (!monolithic_) {
+    monolithic_ =
+        Relation(*mgr_, parts_, Relation::kOneCluster, names_.size());
   }
-  return trans_;
+  return *monolithic_;
+}
+
+const bdd::Bdd& TransitionSystem::trans() const {
+  return relation(ImageMethod::kMonolithic).clusters().front();
 }
 
 const bdd::Bdd& TransitionSystem::cur_cube() const {
@@ -417,111 +370,14 @@ bdd::Bdd TransitionSystem::unprime(const bdd::Bdd& f) const {
   return mgr_->rel_next(f, mgr_->one(), mgr_->one());
 }
 
-bdd::Bdd TransitionSystem::image(const bdd::Bdd& states, ImageMethod method,
-                                 const DontCare* care) const {
-  require_finalized("image");
-  const bool diag_on = diag::enabled();
-  diag::TimerScope timer("image.time");
-  // The image operand is never simplified: a care-restricted relation can
-  // invent successors only for non-care current states, which the contract
-  // (states implies care->set) excludes, but junk inside the operand would
-  // land inside the care set.  See DESIGN.md §9.
-  if (method == ImageMethod::kMonolithic ||
-      (clusters_.size() == 1 && care == nullptr)) {
-    const bdd::Bdd& rel = care != nullptr ? care->trans : trans();
-    const bdd::Bdd result = mgr_->rel_next(states, rel, cur_cube_);
-    if (diag_on) {
-      auto& r = diag::Registry::global();
-      r.add("image.calls");
-      r.add("image.monolithic.calls");
-      r.add("image.sweep_steps");
-      r.gauge_set("image.peak_dag", static_cast<double>(result.dag_size()));
-    }
-    return result;
-  }
-  const std::vector<bdd::Bdd>& rels =
-      care != nullptr ? care->clusters : clusters_;
-  bdd::Bdd acc = states;
-  std::size_t peak = 0;
-  for (std::size_t i = 0; i < rels.size(); ++i) {
-    // The last cluster quantifies the remaining current rail and lands the
-    // successors on it in the same recursion.
-    acc = i + 1 < rels.size() ? mgr_->and_exists(acc, rels[i], img_sched_[i])
-                              : mgr_->rel_next(acc, rels[i], img_sched_[i]);
-    if (diag_on) peak = std::max(peak, acc.dag_size());
-  }
-  if (diag_on) {
-    auto& r = diag::Registry::global();
-    r.add("image.calls");
-    r.add("image.partitioned.calls");
-    r.add("image.sweep_steps", rels.size());
-    r.gauge_set("image.peak_dag", static_cast<double>(peak));
-  }
-  return acc;
+bdd::Bdd TransitionSystem::image(const bdd::Bdd& states,
+                                 ImageMethod method) const {
+  return relation(method).image(states);
 }
 
-bdd::Bdd TransitionSystem::preimage(const bdd::Bdd& states, ImageMethod method,
-                                    const DontCare* care) const {
-  require_finalized("preimage");
-  const bool diag_on = diag::enabled();
-  diag::TimerScope timer("preimage.time");
-  bdd::Bdd operand = states;
-  if (care != nullptr) {
-    // Fixpoint operands only ever matter on the care set: minimize shrinks
-    // the BDD while preserving the function there (kept only when it
-    // actually shrinks -- Coudert-Madre restrict can occasionally grow).
-    const bdd::Bdd reduced = operand.minimize(care->set);
-    if (diag_on) {
-      auto& r = diag::Registry::global();
-      r.add("preimage.care.calls");
-      if (reduced.dag_size() < operand.dag_size()) {
-        r.add("preimage.care.operand_nodes_saved",
-              operand.dag_size() - reduced.dag_size());
-      }
-    }
-    if (reduced.dag_size() < operand.dag_size()) operand = reduced;
-  }
-  if (method == ImageMethod::kMonolithic ||
-      (clusters_.size() == 1 && care == nullptr)) {
-    const bdd::Bdd& rel = care != nullptr ? care->trans : trans();
-    bdd::Bdd result = mgr_->rel_prev(operand, rel, next_cube_);
-    if (care != nullptr) result &= care->set;
-    if (diag_on) {
-      auto& r = diag::Registry::global();
-      r.add("preimage.calls");
-      r.add("preimage.monolithic.calls");
-      r.add("preimage.sweep_steps");
-      r.gauge_set("preimage.peak_dag", static_cast<double>(result.dag_size()));
-    }
-    return result;
-  }
-  const std::vector<bdd::Bdd>& rels =
-      care != nullptr ? care->clusters : clusters_;
-  bdd::Bdd acc = operand;
-  std::size_t peak = 0;
-  for (std::size_t i = 0; i < rels.size(); ++i) {
-    // The first cluster reads the operand on the next rail.
-    acc = i == 0 ? mgr_->rel_prev(acc, rels[i], pre_sched_[i])
-                 : mgr_->and_exists(acc, rels[i], pre_sched_[i]);
-    if (care != nullptr && i + 1 < rels.size()) {
-      // The preimage sweep quantifies next-rail variables only, so the
-      // accumulator's current-rail rows outside the care set are dead
-      // weight; minimizing them is sound (the final & care->set pins the
-      // semantics) and keeps intermediate products small.
-      const bdd::Bdd reduced = acc.minimize(care->set);
-      if (reduced.dag_size() < acc.dag_size()) acc = reduced;
-    }
-    if (diag_on) peak = std::max(peak, acc.dag_size());
-  }
-  if (care != nullptr) acc &= care->set;
-  if (diag_on) {
-    auto& r = diag::Registry::global();
-    r.add("preimage.calls");
-    r.add("preimage.partitioned.calls");
-    r.add("preimage.sweep_steps", rels.size());
-    r.gauge_set("preimage.peak_dag", static_cast<double>(peak));
-  }
-  return acc;
+bdd::Bdd TransitionSystem::preimage(const bdd::Bdd& states,
+                                    ImageMethod method) const {
+  return relation(method).preimage(states);
 }
 
 const bdd::Bdd& TransitionSystem::reachable() const {

@@ -19,10 +19,11 @@
 // core::CheckOptions::reorder) set, finalize() runs one sifting pass
 // after cluster merging and the manager re-sifts on 2x live-node growth.
 //
-// The transition relation may be kept as a conjunctive partition
-// (one conjunct per assignment/gate); image and preimage then use a fused
-// AndExists sweep with an early-quantification schedule, or the monolithic
-// product, selectable per call (benched as an ablation).
+// The transition relation is kept as the conjunctive partition supplied by
+// add_trans (one conjunct per assignment/gate) and swept through a
+// ts::Relation: the parts merged into size-thresholded clusters with
+// early-quantification schedules.  The "monolithic" relation is the same
+// type with one cluster; ImageMethod picks between the two.
 
 #pragma once
 
@@ -35,37 +36,17 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "ts/relation.hpp"
 
 namespace symcex::ts {
 
 /// Index of a state variable (not a raw BDD variable).
 using VarId = std::uint32_t;
 
-/// How image/preimage combine a partitioned transition relation.
+/// Which Relation image/preimage sweep (see TransitionSystem::relation).
 enum class ImageMethod {
-  kMonolithic,   ///< conjoin all parts once, one fused AndExists
+  kMonolithic,   ///< the one-cluster relation: one fused rel_next / rel_prev
   kPartitioned,  ///< sweep over size-thresholded clusters, early quantification
-};
-
-/// Don't-care bundle for care-set-simplified sweeps (built lazily by
-/// core::EvalContext from the reachable states; see DESIGN.md §9).
-///
-/// `set` is a satisfiable state predicate over the current rail that is
-/// closed under the transition relation (successors of care states are
-/// care states -- true of the reachable set by construction).  The
-/// relation copies are the monolithic relation / the clusters minimized
-/// against `set`: they agree with the exact relation on every row whose
-/// current-rail assignment satisfies `set`, which makes
-///
-///   * image(S, care)     exact whenever S implies `set`, and
-///   * preimage(Z, care)  equal to  (EX Z) & set  for arbitrary Z.
-///
-/// Only the copy matching the sweep method in use needs to be populated.
-struct DontCare {
-  bdd::Bdd set;     ///< care set over the current rail (satisfiable)
-  bdd::Bdd trans;   ///< trans().minimize(set); null unless monolithic sweeps
-  std::vector<bdd::Bdd> clusters;  ///< per-cluster minimize; empty unless
-                                   ///< partitioned sweeps
 };
 
 /// A symbolic Kripke structure.  Typical construction:
@@ -117,8 +98,8 @@ class TransitionSystem {
   /// Bind an atomic-proposition name to a state predicate.
   void add_label(const std::string& name, const bdd::Bdd& states);
 
-  /// Freeze the structure; computes quantification cubes and schedules.
-  /// Idempotent.  Construction calls after finalize() throw.
+  /// Freeze the structure; computes the rail cubes and the clustered
+  /// relation.  Idempotent.  Construction calls after finalize() throw.
   void finalize();
   [[nodiscard]] bool finalized() const { return finalized_; }
 
@@ -152,7 +133,8 @@ class TransitionSystem {
   // -- components ------------------------------------------------------------
 
   [[nodiscard]] const bdd::Bdd& init() const { return init_; }
-  /// The monolithic transition relation (conjoined lazily and cached).
+  /// The monolithic transition relation: the one cluster of
+  /// relation(ImageMethod::kMonolithic).
   [[nodiscard]] const bdd::Bdd& trans() const;
   /// The conjunctive partition as supplied by add_trans.  This is the
   /// ground truth the certifier and the structural audit check against;
@@ -160,20 +142,13 @@ class TransitionSystem {
   [[nodiscard]] const std::vector<bdd::Bdd>& trans_parts() const {
     return parts_;
   }
-  /// The size-thresholded clusters finalize() merged the parts into (in
-  /// part order); the partitioned sweeps iterate over these.
+  /// The relation image/preimage sweep under `method`: the clusters
+  /// finalize() merged the parts into under cluster_threshold(), or the
+  /// one-cluster relation (conjoined on first use and cached).
+  [[nodiscard]] const Relation& relation(ImageMethod method) const;
+  /// The clusters of relation(ImageMethod::kPartitioned), in part order.
   [[nodiscard]] const std::vector<bdd::Bdd>& trans_clusters() const {
-    return clusters_;
-  }
-  /// The early-quantification schedules finalize() derived for the
-  /// partitioned image / preimage sweeps (cube per cluster).  Exposed for
-  /// diagnostics and for snapshot verification (src/persist re-derives
-  /// them on load and insists on equality).
-  [[nodiscard]] const std::vector<bdd::Bdd>& image_schedule() const {
-    return img_sched_;
-  }
-  [[nodiscard]] const std::vector<bdd::Bdd>& preimage_schedule() const {
-    return pre_sched_;
+    return clustered_.clusters();
   }
   [[nodiscard]] const std::vector<bdd::Bdd>& fairness() const {
     return fairness_;
@@ -187,19 +162,14 @@ class TransitionSystem {
   // -- symbolic stepping -----------------------------------------------------
 
   /// Successors of `states`:  { t | exists s in states. R(s, t) }.
-  /// With `care`, the sweep runs over the care-restricted relation; the
-  /// result is exact provided `states` implies the care set (see DontCare).
-  [[nodiscard]] bdd::Bdd image(const bdd::Bdd& states,
-                               ImageMethod method = ImageMethod::kMonolithic,
-                               const DontCare* care = nullptr) const;
+  [[nodiscard]] bdd::Bdd image(
+      const bdd::Bdd& states,
+      ImageMethod method = ImageMethod::kMonolithic) const;
   /// Predecessors of `states` -- the EX operator:
   /// { s | exists t in states. R(s, t) }.
-  /// With `care`, the operand and the intermediate sweep results are
-  /// minimized against the care set and the result is intersected with it,
-  /// so the returned set is exactly  (EX states) & care->set.
   [[nodiscard]] bdd::Bdd preimage(
-      const bdd::Bdd& states, ImageMethod method = ImageMethod::kMonolithic,
-      const DontCare* care = nullptr) const;
+      const bdd::Bdd& states,
+      ImageMethod method = ImageMethod::kMonolithic) const;
 
   /// All states reachable from init (least fixpoint; cached).  The loop
   /// runs under the resumable FixpointGuard "reachable": its record is
@@ -277,7 +247,6 @@ class TransitionSystem {
  private:
   void require_open(const char* what) const;
   void require_finalized(const char* what) const;
-  void build_schedules();
   /// Does f depend only on rail `parity` (0 current, 1 next)?
   [[nodiscard]] bool on_rail(const bdd::Bdd& f, std::uint32_t parity) const;
 
@@ -286,7 +255,6 @@ class TransitionSystem {
   std::unordered_map<std::string, VarId> by_name_;
   bdd::Bdd init_;
   std::vector<bdd::Bdd> parts_;
-  std::vector<bdd::Bdd> clusters_;  // parts_ greedily merged by finalize()
   std::size_t cluster_threshold_;
   std::vector<bdd::Bdd> fairness_;
   std::unordered_map<std::string, bdd::Bdd> labels_;
@@ -295,15 +263,10 @@ class TransitionSystem {
   // Built by finalize():
   bdd::Bdd cur_cube_;
   bdd::Bdd next_cube_;
-  // Early-quantification schedule over clusters_: for the image sweep,
-  // cube of current variables that may be quantified when conjoining
-  // cluster i (they appear in no later cluster); symmetrically for the
-  // preimage sweep on next vars.
-  std::vector<bdd::Bdd> img_sched_;
-  std::vector<bdd::Bdd> pre_sched_;
+  Relation clustered_;
 
-  mutable bdd::Bdd trans_;        // cached monolithic relation
-  mutable bdd::Bdd reachable_;    // cached reachable set
+  mutable std::optional<Relation> monolithic_;  // built on first use
+  mutable bdd::Bdd reachable_;  // cached reachable set
 };
 
 }  // namespace symcex::ts

@@ -140,8 +140,9 @@ TEST(Reduction, ImageAgreesWithFullImageProjectedOntoTheCone) {
   const bdd::Bdd s = red.project(m->init());
   for (const ts::ImageMethod method :
        {ts::ImageMethod::kMonolithic, ts::ImageMethod::kPartitioned}) {
-    EXPECT_EQ(red.image(s, method), red.project(m->image(s, method)));
-    EXPECT_EQ(red.preimage(s, method), red.project(m->preimage(s, method)));
+    const ts::Relation& rel = red.relation(method);
+    EXPECT_EQ(rel.image(s), red.project(m->image(s, method)));
+    EXPECT_EQ(rel.preimage(s), red.project(m->preimage(s, method)));
   }
   // The reduced reachable set is the projection of the full one.
   EXPECT_EQ(red.reachable(), red.project(m->reachable()));

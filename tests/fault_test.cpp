@@ -216,7 +216,9 @@ TEST(FaultKernel, ApplyDeadlineFaultRecoversAndRethrows) {
 
 TEST(FaultKernel, FixpointSiteInterruptsReachability) {
   ts::TransitionSystem sys;
-  for (int v = 0; v < 4; ++v) sys.add_var("x" + std::to_string(v));
+  for (int v = 0; v < 4; ++v) {
+    sys.add_var(std::string("x").append(std::to_string(v)));
+  }
   sys.set_init(!sys.cur(0) & !sys.cur(1) & !sys.cur(2) & !sys.cur(3));
   // A 4-bit ripple counter: reachability takes 16 iterations.
   Bdd carry = sys.manager().one();

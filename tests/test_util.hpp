@@ -72,7 +72,7 @@ inline std::unique_ptr<ts::TransitionSystem> random_ts(
   std::mt19937 rng(seed);
   auto m = std::make_unique<ts::TransitionSystem>();
   for (std::uint32_t v = 0; v < options.num_vars; ++v) {
-    m->add_var("x" + std::to_string(v));
+    m->add_var(std::string("x").append(std::to_string(v)));
   }
   // Random nonempty set of initial states.
   bdd::Bdd init = random_predicate(*m, rng);

@@ -1,5 +1,6 @@
 // Tests for the symbolic transition-system layer.
 
+#include <array>
 #include <random>
 #include <sstream>
 
@@ -227,9 +228,10 @@ TEST(StateGraphDot, RendersReachableGraph) {
 }
 
 /// Image and preimage in every sweep mode -- monolithic or partitioned,
-/// with or without a care set, on the full system or its cone-of-influence
-/// reduction -- against the reference composition: conjoin, quantify with
-/// exists, and move between the rails with compose.
+/// with or without a care set, on the full system, its cone-of-influence
+/// reduction, or a reduction that keeps no conjunct (the relation `true`)
+/// -- against the reference composition: conjoin, quantify with exists,
+/// and move between the rails with compose.
 TEST(TransitionSystemTest, SweepsMatchTheReferenceCompositionInEveryMode) {
   TransitionSystem m;
   m.set_cluster_threshold(0);  // one cluster per conjunct
@@ -272,6 +274,12 @@ TEST(TransitionSystemTest, SweepsMatchTheReferenceCompositionInEveryMode) {
       analyze::cone_of_influence(m, graph, {m.label("a_zero").value()});
   ASSERT_TRUE(cone.reduces());
   const analyze::Reduction red(m, std::move(cone), graph);
+  // No seeds and no fairness: the cone is empty and keeps no conjunct.
+  analyze::Cone nothing = analyze::cone_of_influence(m, graph, {});
+  ASSERT_TRUE(nothing.kept_parts.empty());
+  const analyze::Reduction empty(m, std::move(nothing), graph);
+  ASSERT_EQ(empty.relation(ImageMethod::kPartitioned).clusters(),
+            std::vector<bdd::Bdd>{mgr.one()});
 
   const auto swap_rails = [&](bdd::Bdd f, std::uint32_t parity) {
     for (VarId v = 0; v < m.num_state_vars(); ++v) {
@@ -286,28 +294,36 @@ TEST(TransitionSystemTest, SweepsMatchTheReferenceCompositionInEveryMode) {
   const auto preimage_ref = [&](const bdd::Bdd& z, const bdd::Bdd& rel) {
     return (swap_rails(z, 0) & rel).exists(m.next_cube());
   };
-  const auto care_for = [&](const bdd::Bdd& reach, const bdd::Bdd& rel,
-                            const std::vector<bdd::Bdd>& clusters) {
-    DontCare care{reach, rel.minimize(reach), {}};
-    for (const bdd::Bdd& c : clusters) care.clusters.push_back(c.minimize(reach));
-    return care;
+  /// One relation view: its monolithic and clustered relations, the
+  /// reference conjunction and the care set (its reachable states).
+  struct View {
+    const char* name;
+    std::vector<const Relation*> relations;
+    bdd::Bdd rel;
+    bdd::Bdd reach;
   };
-  const DontCare full_care =
-      care_for(m.reachable(), m.trans(), m.trans_clusters());
-  const DontCare cone_care =
-      care_for(red.reachable(), red.trans(), red.clusters());
-  ASSERT_NE(full_care.set, mgr.one());
-  ASSERT_NE(cone_care.set, mgr.one());
+  const auto both = [](const auto& owner) {
+    return std::vector<const Relation*>{
+        &owner.relation(ImageMethod::kMonolithic),
+        &owner.relation(ImageMethod::kPartitioned)};
+  };
+  const std::vector<View> views = {
+      {"full", both(m), m.trans(), m.reachable()},
+      {"cone", both(red),
+       red.relation(ImageMethod::kMonolithic).clusters().front(),
+       red.reachable()},
+      {"empty cone", both(empty), mgr.one(), empty.reachable()},
+  };
+  ASSERT_NE(views[0].reach, mgr.one());
+  ASSERT_NE(views[1].reach, mgr.one());
 
   std::mt19937 rng(11);
   for (int round = 0; round < 12; ++round) {
-    for (const bool coi : {false, true}) {
-      const bdd::Bdd& reach = coi ? red.reachable() : m.reachable();
-      const bdd::Bdd& rel = coi ? red.trans() : m.trans();
-      // Image operands stay inside the care set (the DontCare contract);
-      // preimage operands are arbitrary current-rail sets.
+    for (const View& view : views) {
+      // Image operands stay inside the care set (the Relation::restricted
+      // contract); preimage operands are arbitrary current-rail sets.
       bdd::Bdd s = mgr.zero();
-      bdd::Bdd pool = reach;
+      bdd::Bdd pool = view.reach;
       for (int k = 0; k < 3 && !pool.is_false(); ++k) {
         const bdd::Bdd st = m.pick_state(pool);
         pool -= st;
@@ -318,24 +334,60 @@ TEST(TransitionSystemTest, SweepsMatchTheReferenceCompositionInEveryMode) {
         if (rng() % 3 == 0) z |= value_is(a, v) & (rng() % 2 == 0 ? m.cur(e) : mgr.one());
       }
       for (const bool with_care : {false, true}) {
-        const DontCare* care =
-            with_care ? (coi ? &cone_care : &full_care) : nullptr;
-        for (const ImageMethod method :
-             {ImageMethod::kMonolithic, ImageMethod::kPartitioned}) {
-          const bdd::Bdd img =
-              coi ? red.image(s, method, care) : m.image(s, method, care);
-          const bdd::Bdd pre =
-              coi ? red.preimage(z, method, care) : m.preimage(z, method, care);
-          bdd::Bdd pre_want = preimage_ref(z, rel);
-          if (care != nullptr) pre_want &= care->set;
-          EXPECT_EQ(img, image_ref(s, rel))
-              << "round " << round << " coi " << coi << " care " << with_care;
-          EXPECT_EQ(pre, pre_want)
-              << "round " << round << " coi " << coi << " care " << with_care;
+        for (const Relation* exact : view.relations) {
+          const Relation rel =
+              with_care ? exact->restricted(view.reach) : *exact;
+          bdd::Bdd pre_want = preimage_ref(z, view.rel);
+          if (with_care) pre_want &= view.reach;
+          EXPECT_EQ(rel.image(s), image_ref(s, view.rel))
+              << "round " << round << " " << view.name << " care " << with_care;
+          EXPECT_EQ(rel.preimage(z), pre_want)
+              << "round " << round << " " << view.name << " care " << with_care;
         }
       }
     }
   }
+}
+
+/// The default (monolithic) relation sweeps with one fused kernel call and
+/// no AndExists, whatever the clustering; the clustered relation adds one
+/// AndExists per cluster boundary.
+TEST(TransitionSystemTest, MonolithicSweepIsOneFusedKernelCall) {
+  TransitionSystem m;
+  m.set_cluster_threshold(0);  // one cluster per conjunct
+  const std::vector<VarId> b = m.add_vector("b", 4);
+  bdd::Bdd carry = m.manager().one();
+  for (const VarId v : b) {
+    m.add_trans(!(m.next(v) ^ (m.cur(v) ^ carry)));
+    carry &= m.cur(v);
+  }
+  m.finalize();
+  const Relation& mono = m.relation(ImageMethod::kMonolithic);
+  const Relation& clustered = m.relation(ImageMethod::kPartitioned);
+  ASSERT_EQ(mono.clusters().size(), 1u);
+  ASSERT_EQ(clustered.clusters().size(), 4u);
+  EXPECT_EQ(mono.image_schedule().front(), m.cur_cube());
+  EXPECT_EQ(mono.preimage_schedule().front(), m.next_cube());
+
+  const bdd::Bdd s = m.cur(b[0]) & !m.cur(b[2]);
+  const bdd::ManagerStats& stats = m.manager().stats();
+  const auto delta = [&](const auto& sweep) {
+    const std::uint64_t and_exists = stats.apply(bdd::ApplyOp::kAndExists);
+    const std::uint64_t rel_next = stats.apply(bdd::ApplyOp::kRelNext);
+    const std::uint64_t rel_prev = stats.apply(bdd::ApplyOp::kRelPrev);
+    (void)sweep();
+    return std::array<std::uint64_t, 3>{
+        stats.apply(bdd::ApplyOp::kAndExists) - and_exists,
+        stats.apply(bdd::ApplyOp::kRelNext) - rel_next,
+        stats.apply(bdd::ApplyOp::kRelPrev) - rel_prev};
+  };
+  using Calls = std::array<std::uint64_t, 3>;  // and_exists, next, prev
+  EXPECT_EQ(delta([&] { return mono.image(s); }), (Calls{0, 1, 0}));
+  EXPECT_EQ(delta([&] { return mono.preimage(s); }), (Calls{0, 0, 1}));
+  EXPECT_EQ(delta([&] { return m.image(s); }), (Calls{0, 1, 0}));
+  EXPECT_EQ(delta([&] { return m.preimage(s); }), (Calls{0, 0, 1}));
+  EXPECT_EQ(delta([&] { return clustered.image(s); }), (Calls{3, 1, 0}));
+  EXPECT_EQ(delta([&] { return clustered.preimage(s); }), (Calls{3, 0, 1}));
 }
 
 TEST(TransitionSystemTest, PrimeAndUnprimeCheckTheRail) {
