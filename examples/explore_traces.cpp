@@ -4,10 +4,11 @@
 // The model is the dining philosophers ring; we (1) simulate a random
 // execution, (2) extract the starvation counterexample for philosopher 0,
 // (3) shorten it while preserving the fairness constraints and the
-// starvation obligation, and (4) re-validate everything.
+// starvation obligation, and (4) certify the shortened trace.
 
 #include <iostream>
 
+#include "certify/certify.hpp"
 #include "core/checker.hpp"
 #include "core/explain.hpp"
 #include "core/trace_util.hpp"
@@ -48,10 +49,13 @@ int main() {
             << "-state cycle (was " << trace.length() << " states total)\n"
             << shorter.to_string(*m);
 
-  // ---- 4. validate ----------------------------------------------------------
-  const std::string verdict = shorter.validate(*m);
-  std::cout << "\nshortened trace validates: "
-            << (verdict.empty() ? "yes" : verdict) << "\n";
+  // ---- 4. certify -----------------------------------------------------------
+  const certify::Certificate cert =
+      certify::TraceCertifier(*m).certify_path(shorter);
+  const certify::Obligation* failed = cert.first_failure();
+  std::cout << "\nshortened trace certifies: "
+            << (failed == nullptr ? "yes" : failed->name + ": " + failed->detail)
+            << "\n";
   bool fair = true;
   for (const auto& h : m->fairness()) fair = fair && shorter.cycle_visits(h);
   std::cout << "cycle still visits every fairness constraint: "

@@ -1,7 +1,6 @@
 #include "certify/certify.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <utility>
 
@@ -12,11 +11,6 @@
 namespace symcex::certify {
 
 namespace {
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{config::current().certify};
-  return flag;
-}
 
 /// Human position of combined-list index k in a prefix+cycle trace.
 std::string position(std::size_t k, std::size_t prefix_len) {
@@ -42,11 +36,7 @@ void count_certificate(const Certificate& cert) {
 
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
+bool enabled() { return config::current().certify; }
 
 // ---------------------------------------------------------------------------
 // Certificate

@@ -26,7 +26,7 @@
 // The result is a Certificate: a structured per-obligation pass/fail list,
 // not a bool, so a failure names exactly which duty the trace violated.
 //
-// Set SYMCEX_CERTIFY=1 (or call set_enabled(true)) and the generators in
+// Set SYMCEX_CERTIFY=1 (config::Config::certify) and the generators in
 // core/, ctlstar/ and automata/ certify every trace they emit, throwing
 // CertificationError naming the failed obligation.
 
@@ -45,12 +45,11 @@
 
 namespace symcex::certify {
 
-/// Is auto-certification on?  Initialised from config::current().certify
-/// (SYMCEX_CERTIFY); flip with set_enabled().  When on, WitnessGenerator /
-/// Explainer / StarChecker / check_containment certify every trace they
-/// emit.
+/// Is auto-certification on?  config::current().certify (SYMCEX_CERTIFY),
+/// read on every call, so it follows each config::install.  When on,
+/// WitnessGenerator / Explainer / StarChecker / check_containment certify
+/// every trace they emit.
 [[nodiscard]] bool enabled();
-void set_enabled(bool on);
 
 /// One named proof obligation of a certificate.
 struct Obligation {

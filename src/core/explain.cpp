@@ -93,23 +93,8 @@ Explanation Explainer::explain(const Formula::Ptr& spec) {
   if (informative) {
     if (const analyze::Reduction* reduction = checker_.context().reduction()) {
       // The trace was built in the reduced model, where the dropped
-      // variables carry arbitrary values.  Re-simulate them against the
-      // RAW relation so certification and every downstream consumer see a
-      // genuine full-model execution (DESIGN.md §12).  A step that cannot
-      // be inflated is a soundness escape of the reduction (a deadlocked
-      // dropped component); escalate it exactly like a failed certificate.
-      std::vector<bdd::Bdd> full_prefix;
-      std::vector<bdd::Bdd> full_cycle;
-      std::string error;
-      if (!analyze::inflate_trace(ts, *reduction, trace.prefix, trace.cycle,
-                                  &full_prefix, &full_cycle, &error)) {
-        certify::Certificate cert;
-        cert.require("coi-trace-inflation", false, std::move(error));
-        throw certify::CertificationError("Explainer::explain",
-                                          std::move(cert));
-      }
-      trace.prefix = std::move(full_prefix);
-      trace.cycle = std::move(full_cycle);
+      // variables carry arbitrary values.
+      inflate_reduced_trace(ts, *reduction, trace, "Explainer::explain");
       // Recorded obligations are reduced-model minterms; project them onto
       // the cone so the inflated states still satisfy them.
       for (bdd::Bdd& obligation : obligations_) {

@@ -1,6 +1,5 @@
 #include "core/invariant.hpp"
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,22 +41,9 @@ InvariantResult check_invariant(Checker& checker, const bdd::Bdd& invariant,
           generator.extend_to_fair(trace);
         }
         if (const analyze::Reduction* reduction = checker.reduction()) {
-          // Re-simulate the dropped variables against the raw relation
-          // before certification (DESIGN.md §12); the cone projection --
-          // and with it the invariant violation -- is preserved exactly.
-          std::vector<bdd::Bdd> full_prefix;
-          std::vector<bdd::Bdd> full_cycle;
-          std::string error;
-          if (!analyze::inflate_trace(ts, *reduction, trace.prefix,
-                                      trace.cycle, &full_prefix, &full_cycle,
-                                      &error)) {
-            certify::Certificate cert;
-            cert.require("coi-trace-inflation", false, std::move(error));
-            throw certify::CertificationError("check_invariant",
-                                              std::move(cert));
-          }
-          trace.prefix = std::move(full_prefix);
-          trace.cycle = std::move(full_cycle);
+          // Inflate before certification; the cone projection -- and with
+          // it the invariant violation -- is preserved exactly.
+          inflate_reduced_trace(ts, *reduction, trace, "check_invariant");
         }
         // An invariant counterexample is an E[true U !invariant] witness.
         if (certify::enabled()) {

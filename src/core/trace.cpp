@@ -35,31 +35,6 @@ std::string Trace::to_string(const ts::TransitionSystem& ts) const {
   return out;
 }
 
-std::string Trace::validate(const ts::TransitionSystem& ts) const {
-  auto is_single_state = [&](const bdd::Bdd& s) {
-    return !s.is_false() && ts.count_states(s) == 1.0;
-  };
-  auto has_edge = [&](const bdd::Bdd& a, const bdd::Bdd& b) {
-    return ts.image(a).intersects(b);
-  };
-  const std::vector<bdd::Bdd> all = states();
-  if (all.empty()) return "trace is empty";
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (all[i].is_null()) return "state " + std::to_string(i) + " is null";
-    if (!is_single_state(all[i])) {
-      return "state " + std::to_string(i) + " is not a single concrete state";
-    }
-    if (i > 0 && !has_edge(all[i - 1], all[i])) {
-      return "no transition from state " + std::to_string(i - 1) +
-             " to state " + std::to_string(i);
-    }
-  }
-  if (!cycle.empty() && !has_edge(cycle.back(), cycle.front())) {
-    return "no transition closing the cycle";
-  }
-  return "";
-}
-
 bool Trace::all_satisfy(const bdd::Bdd& inv) const {
   for (const auto& s : prefix) {
     if (!s.implies(inv)) return false;

@@ -43,12 +43,6 @@ struct Trace {
   /// start with "-- loop starts here --".
   [[nodiscard]] std::string to_string(const ts::TransitionSystem& ts) const;
 
-  /// Structural sanity checks used by tests and by the generator's own
-  /// postconditions: every consecutive pair (including the wrap-around
-  /// cycle edge) is a transition of `ts`, and every state is a single
-  /// concrete state.  Returns an empty string if OK, else a diagnostic.
-  [[nodiscard]] std::string validate(const ts::TransitionSystem& ts) const;
-
   /// Does every state of the trace satisfy `inv`?
   [[nodiscard]] bool all_satisfy(const bdd::Bdd& inv) const;
   /// Does some state of the *cycle* satisfy `set`?  (Used to check that a

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "diag/metrics.hpp"
@@ -23,35 +24,30 @@ constexpr std::size_t kNoRing = std::numeric_limits<std::size_t>::max();
 [[noreturn]] void fail_ring_certificate(std::string detail) {
   certify::Certificate cert;
   cert.require("ring-chain-monotone", false, std::move(detail));
-  throw certify::CertificationError("core::min_ring_index", std::move(cert));
+  throw certify::CertificationError("core::walk_rings", std::move(cert));
+}
+
+/// Every link Q_{i-1} <= Q_i of the chain, checked once per walk: n
+/// implications for an n-ring chain, in every build and configuration.
+void check_ring_chain(const std::vector<bdd::Bdd>& rings) {
+  for (std::size_t i = 1; i < rings.size(); ++i) {
+    if (!rings[i - 1].implies(rings[i])) {
+      fail_ring_certificate("rings[" + std::to_string(i - 1) +
+                            "] does not imply rings[" + std::to_string(i) +
+                            "]: the approximation chain is not increasing");
+    }
+  }
 }
 
 /// Smallest i with set & rings[i] nonempty, or kNoRing.  The onion rings
-/// are an increasing chain (Q_i <= Q_{i+1} by construction), so the
-/// predicate "set intersects rings[i]" is monotone in i and the first hit
-/// is found by binary search in O(log n) intersection tests instead of n.
-///
-/// Monotonicity checking: the O(n) full-chain scan runs in debug builds
-/// and whenever certification is enabled; release builds always validate
-/// the result locally (the returned index must be a boundary: its
-/// predecessor ring must miss `set`), which is O(1) and catches any
-/// violation the search actually stepped on.
+/// are an increasing chain (Q_i <= Q_{i+1} by construction, checked by
+/// check_ring_chain), so the predicate "set intersects rings[i]" is
+/// monotone in i and the first hit is found by binary search in O(log n)
+/// intersection tests instead of n.  The result is validated locally (the
+/// returned index must be a boundary: its predecessor ring must miss
+/// `set`), which is O(1).
 std::size_t min_ring_index(const std::vector<bdd::Bdd>& rings,
                            const bdd::Bdd& set) {
-#ifdef NDEBUG
-  const bool full_scan = certify::enabled();
-#else
-  const bool full_scan = true;
-#endif
-  if (full_scan) {
-    for (std::size_t i = 1; i < rings.size(); ++i) {
-      if (!rings[i - 1].implies(rings[i])) {
-        fail_ring_certificate("rings[" + std::to_string(i - 1) +
-                              "] does not imply rings[" + std::to_string(i) +
-                              "]: the approximation chain is not increasing");
-      }
-    }
-  }
   if (rings.empty() || !set.intersects(rings.back())) return kNoRing;
   std::size_t lo = 0;
   std::size_t hi = rings.size() - 1;  // invariant: set intersects rings[hi]
@@ -87,6 +83,7 @@ std::optional<Trace> WitnessGenerator::take_partial() {
 std::vector<bdd::Bdd> WitnessGenerator::walk_rings(
     const std::vector<bdd::Bdd>& rings, const bdd::Bdd& from) {
   auto& ts = checker_.system();
+  check_ring_chain(rings);
   std::size_t i = min_ring_index(rings, from);
   if (i == kNoRing) {
     throw std::invalid_argument(
@@ -364,6 +361,22 @@ certify::TraceCertifier& WitnessGenerator::certifier() {
         std::make_unique<certify::TraceCertifier>(checker_.system());
   }
   return *certifier_;
+}
+
+void inflate_reduced_trace(const ts::TransitionSystem& ts,
+                           const analyze::Reduction& reduction, Trace& trace,
+                           const std::string& where) {
+  std::vector<bdd::Bdd> full_prefix;
+  std::vector<bdd::Bdd> full_cycle;
+  std::string error;
+  if (!analyze::inflate_trace(ts, reduction, trace.prefix, trace.cycle,
+                              &full_prefix, &full_cycle, &error)) {
+    certify::Certificate cert;
+    cert.require("coi-trace-inflation", false, std::move(error));
+    throw certify::CertificationError(where, std::move(cert));
+  }
+  trace.prefix = std::move(full_prefix);
+  trace.cycle = std::move(full_cycle);
 }
 
 }  // namespace symcex::core

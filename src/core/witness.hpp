@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "bdd/bdd.hpp"
 #include "certify/certify.hpp"
@@ -96,7 +97,9 @@ class WitnessGenerator {
 
   /// Finite f-path from a state of `from` to a state of `g`, following
   /// precomputed EU rings (no fair extension).  Building block used by eu()
-  /// and by the explainers.
+  /// and by the explainers.  Checks once, on entry, that the rings form an
+  /// increasing chain; a broken link throws certify::CertificationError
+  /// ("ring-chain-monotone").
   [[nodiscard]] std::vector<bdd::Bdd> walk_rings(
       const std::vector<bdd::Bdd>& rings, const bdd::Bdd& from);
 
@@ -135,5 +138,15 @@ class WitnessGenerator {
   std::unique_ptr<certify::TraceCertifier> certifier_;
   std::optional<Trace> partial_;  // salvage from an exhaustion abort
 };
+
+/// Re-simulate the variables a COI reduction dropped from `trace` against
+/// the RAW relation of `ts`, in place, so certification and every
+/// downstream consumer see a genuine full-model execution (DESIGN.md §12).
+/// A step that cannot be inflated is a soundness escape of the reduction
+/// (a deadlocked dropped component); it throws certify::CertificationError
+/// with the obligation "coi-trace-inflation", raised from `where`.
+void inflate_reduced_trace(const ts::TransitionSystem& ts,
+                           const analyze::Reduction& reduction, Trace& trace,
+                           const std::string& where);
 
 }  // namespace symcex::core

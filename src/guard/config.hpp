@@ -52,9 +52,8 @@ using Lookup = std::function<const char*(const char*)>;
 
 /// Make `config` the process-wide configuration, and arm the fault
 /// injector with its fault_spec when that is non-empty.  Call before any
-/// other library use (values sampled at first use -- the certify, audit
-/// and stats flags -- do not follow a later install) and before starting
-/// threads.
+/// other library use (the audit and stats flags are sampled at first use
+/// and do not follow a later install) and before starting threads.
 void install(const Config& config);
 
 /// The installed configuration; the defaults when none is installed.

@@ -20,6 +20,7 @@
 #include "diag/metrics.hpp"
 #include "models/models.hpp"
 #include "smv/smv.hpp"
+#include "test_util.hpp"
 #include "ts/transition_system.hpp"
 
 namespace symcex {
@@ -275,7 +276,7 @@ TEST(ConstFold, PinsConstantVariablesAndSeversThemFromTheCone) {
 void expect_cross_mode_match(ts::TransitionSystem& system,
                              const std::string& spec,
                              bool bit_identical = true) {
-  certify::set_enabled(true);
+  const test::ScopedConfig certifying(test::certify_on);
   core::Checker exact(system, {.coi = false});
   core::Checker reduced(system, {.coi = true});
   core::Explainer exact_explain(exact);
@@ -283,7 +284,6 @@ void expect_cross_mode_match(ts::TransitionSystem& system,
 
   const core::Explanation a = exact_explain.explain(spec);
   const core::Explanation b = reduced_explain.explain(spec);
-  certify::set_enabled(false);
 
   EXPECT_EQ(a.holds, b.holds) << spec;
   ASSERT_EQ(a.trace.has_value(), b.trace.has_value()) << spec;

@@ -25,15 +25,6 @@
 namespace symcex {
 namespace {
 
-class ScopedCertify {
- public:
-  ScopedCertify() : old_(certify::enabled()) { certify::set_enabled(true); }
-  ~ScopedCertify() { certify::set_enabled(old_); }
-
- private:
-  bool old_;
-};
-
 using Builder = std::function<std::unique_ptr<ts::TransitionSystem>()>;
 
 struct ModelCase {
@@ -136,7 +127,7 @@ void expect_same(const ModelCase& mc, const Config& cfg,
 }
 
 TEST(CaresetCrossMode, IdenticalVerdictsAndTracesOnEveryModel) {
-  ScopedCertify certify_every_trace;
+  const test::ScopedConfig certify_every_trace(test::certify_on);
   for (const auto& mc : model_cases()) {
     SCOPED_TRACE(mc.name);
     const auto base = run_config(mc, kBaseline);
@@ -147,7 +138,7 @@ TEST(CaresetCrossMode, IdenticalVerdictsAndTracesOnEveryModel) {
 }
 
 TEST(CaresetCrossMode, ClusterThresholdExtremesDoNotChangeResults) {
-  ScopedCertify certify_every_trace;
+  const test::ScopedConfig certify_every_trace(test::certify_on);
   // A partitioned model (one conjunct per bank / per process) exercises
   // the merge loop; thresholds: merging disabled, every part its own
   // cluster, and merge-everything.
@@ -174,7 +165,7 @@ TEST(CaresetCrossMode, ClusterThresholdExtremesDoNotChangeResults) {
 }
 
 TEST(CaresetCrossMode, InvariantCheckerAgreesAcrossModes) {
-  ScopedCertify certify_every_trace;
+  const test::ScopedConfig certify_every_trace(test::certify_on);
   const auto run = [](const Config& cfg) {
     auto m = models::counter({.width = 5, .modulus = 20});
     core::Checker checker(

@@ -25,20 +25,6 @@
 namespace symcex {
 namespace {
 
-/// Restore the process-wide certification toggle on scope exit.
-class EnabledGuard {
- public:
-  explicit EnabledGuard(bool on) : prev_(certify::enabled()) {
-    certify::set_enabled(on);
-  }
-  ~EnabledGuard() { certify::set_enabled(prev_); }
-  EnabledGuard(const EnabledGuard&) = delete;
-  EnabledGuard& operator=(const EnabledGuard&) = delete;
-
- private:
-  bool prev_;
-};
-
 /// A hand-built 2-bit model: state k is the minterm b1 b0 == k, the
 /// relation is exactly `edges`, and the initial state is `init`.  Every
 /// concrete state minterm is available for trace surgery.
@@ -366,7 +352,7 @@ TEST(RequireCertified, ThrowsNamingTheFailedObligation) {
 }
 
 TEST(AutoCertify, GeneratorsCertifyTheirOwnOutputWhenEnabled) {
-  const EnabledGuard guard(true);
+  const test::ScopedConfig guard(test::certify_on);
   const RingModel r = make_ring();
   core::Checker ck(*r.m);
   core::WitnessGenerator gen(ck);
@@ -381,7 +367,7 @@ TEST(AutoCertify, GeneratorsCertifyTheirOwnOutputWhenEnabled) {
 }
 
 TEST(AutoCertify, InvariantCounterexamplesAreCertified) {
-  const EnabledGuard guard(true);
+  const test::ScopedConfig guard(test::certify_on);
   const RingModel r = make_ring();
   core::Checker ck(*r.m);
   const auto res = core::check_invariant(ck, !r.s[3]);
@@ -390,7 +376,7 @@ TEST(AutoCertify, InvariantCounterexamplesAreCertified) {
 }
 
 TEST(AutoCertify, ExplainerTracesAreCertified) {
-  const EnabledGuard guard(true);
+  const test::ScopedConfig guard(test::certify_on);
   auto m = models::peterson({.buggy = true});
   core::Checker ck(*m);
   core::Explainer explainer(ck);

@@ -116,7 +116,7 @@ TEST(StarWitness, GfWitnessVisitsInfinitelyOften) {
   StarChecker star(base);
   const auto f = ctl::parse("E (G F max & G F zero)");
   const core::Trace t = star.witness(f, m->init());
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
   ASSERT_TRUE(t.is_lasso());
   EXPECT_TRUE(t.cycle_visits(*m->label("max")));
   EXPECT_TRUE(t.cycle_visits(*m->label("zero")));
@@ -133,7 +133,7 @@ TEST(StarWitness, FgWitnessSettlesIntoTheInvariant) {
   core::Checker base(m);
   StarChecker star(base);
   const core::Trace t = star.witness(ctl::parse("E (F G x)"), m.init());
-  EXPECT_EQ(t.validate(m), "");
+  EXPECT_TRUE(test::certified_path(m, t));
   ASSERT_TRUE(t.is_lasso());
   for (const auto& s : t.cycle) EXPECT_TRUE(s.implies(m.cur(x)));
 }
@@ -154,7 +154,7 @@ TEST(StarWitness, MixedConjunctCaseSplit) {
   const auto f = ctl::parse("E ((F G x | G F y) & G F !y)");
   ASSERT_TRUE(star.holds(f));
   const core::Trace t = star.witness(f, m.init());
-  EXPECT_EQ(t.validate(m), "");
+  EXPECT_TRUE(test::certified_path(m, t));
   ASSERT_TRUE(t.is_lasso());
   EXPECT_TRUE(t.cycle_visits(!m.cur(y)));
   // Either x holds on the whole cycle or y recurs on it.
@@ -201,7 +201,7 @@ TEST(StarExplain, WitnessForTrueExistential) {
   const auto e = star.explain(ctl::parse("E (G F max)"));
   EXPECT_TRUE(e.holds);
   ASSERT_TRUE(e.trace.has_value());
-  EXPECT_EQ(e.trace->validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, *e.trace));
   EXPECT_TRUE(e.trace->cycle_visits(*m->label("max")));
 }
 
@@ -214,7 +214,7 @@ TEST(StarExplain, CounterexampleForFalseUniversal) {
   const auto e = star.explain(ctl::parse("A (G F ticked)"));
   EXPECT_FALSE(e.holds);
   ASSERT_TRUE(e.trace.has_value());
-  EXPECT_EQ(e.trace->validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, *e.trace));
   // Eventually the cycle never ticks.
   for (const auto& s : e.trace->cycle) {
     EXPECT_TRUE(s.implies(!*m->label("ticked")));
@@ -338,7 +338,7 @@ TEST_P(StarProperty, WitnessContract) {
     const bdd::Bdd sat = star.check_conjunction(cs);
     if (!m->init().intersects(sat)) continue;
     const core::Trace t = star.conjunction_witness(cs, m->init());
-    EXPECT_EQ(t.validate(*m), "") << "seed " << seed;
+    EXPECT_TRUE(test::certified_path(*m, t)) << "seed " << seed;
     ASSERT_TRUE(t.is_lasso());
     // The conjunct GF p | FG q holds on the lasso: either p recurs on the
     // cycle or q holds on the whole cycle.

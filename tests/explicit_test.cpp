@@ -216,7 +216,7 @@ TEST_P(MinimalVsHeuristic, HeuristicIsBoundedBelowByExact) {
   core::WitnessGenerator wg(ck);
   const core::Trace heuristic =
       wg.eg(info, m->manager().one(), m->init());
-  ASSERT_EQ(heuristic.validate(*m), "");
+  ASSERT_TRUE(test::certified_path(*m, heuristic));
 
   const Enumerated e = enumerate(*m, 1u << 12);
   // Locate the heuristic's start state in the enumeration.

@@ -36,7 +36,7 @@ TEST(InvariantTest, CounterexamplePrefixIsShortest) {
   EXPECT_EQ(r.depth, 5u);
   ASSERT_TRUE(r.counterexample.has_value());
   EXPECT_EQ(r.counterexample->prefix.size(), 6u);  // values 0..5
-  EXPECT_EQ(r.counterexample->validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, *r.counterexample));
   EXPECT_TRUE(r.counterexample->prefix.back().implies(!lt5));
 }
 
@@ -47,7 +47,7 @@ TEST(InvariantTest, ExtendsToFairLasso) {
   ASSERT_FALSE(r.holds);
   ASSERT_TRUE(r.counterexample.has_value());
   EXPECT_TRUE(r.counterexample->is_lasso());
-  EXPECT_EQ(r.counterexample->validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, *r.counterexample));
 }
 
 TEST(InvariantTest, FairSemanticsMatchTheCtlChecker) {
@@ -83,7 +83,7 @@ TEST(InvariantTest, VerdictAgreesWithCheckerOnRandomModels) {
       EXPECT_EQ(r.holds, want) << "seed " << seed;
       if (!r.holds) {
         ASSERT_TRUE(r.counterexample.has_value());
-        EXPECT_EQ(r.counterexample->validate(*m), "") << "seed " << seed;
+        EXPECT_TRUE(test::certified_path(*m, *r.counterexample)) << "seed " << seed;
         EXPECT_TRUE(
             r.counterexample->states().front().implies(m->init()));
         bool hits = false;

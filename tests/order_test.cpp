@@ -32,19 +32,11 @@
 #include "guard/guard.hpp"
 #include "models/models.hpp"
 #include "order/order.hpp"
+#include "test_util.hpp"
 #include "ts/transition_system.hpp"
 
 namespace symcex {
 namespace {
-
-class ScopedCertify {
- public:
-  ScopedCertify() : old_(certify::enabled()) { certify::set_enabled(true); }
-  ~ScopedCertify() { certify::set_enabled(old_); }
-
- private:
-  bool old_;
-};
 
 /// Truth table of f over the manager's first `n` variables (by INDEX, not
 /// level) -- the observable the reorder must preserve.
@@ -251,7 +243,7 @@ TEST(OrderDot, DumpDotPrintsCurrentLevels) {
 }
 
 TEST(OrderCertify, CertifiedTraceSurvivesForcedReorder) {
-  ScopedCertify certify_every_trace;
+  const test::ScopedConfig certify_every_trace(test::certify_on);
   auto m = models::counter({.width = 4});
   core::Checker checker(*m);
   core::Explainer explainer(checker);
@@ -331,7 +323,7 @@ std::vector<Snapshot> run_config(const ModelCase& mc, const Config& cfg) {
 }
 
 TEST(OrderCrossMode, IdenticalVerdictsAndTracesWithReorderOnAndOff) {
-  ScopedCertify certify_every_trace;
+  const test::ScopedConfig certify_every_trace(test::certify_on);
   const Config baseline = {"mono", ts::ImageMethod::kMonolithic, false};
   const std::vector<Config> variants = {
       {"mono+reorder", ts::ImageMethod::kMonolithic, true},

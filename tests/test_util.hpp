@@ -1,7 +1,8 @@
 // Shared helpers for the SymCeX test suite: random transition systems and
 // random CTL formulas, used to cross-check the symbolic checker against
-// the independent explicit-state implementation, and a scoped edit of the
-// runtime configuration.
+// the independent explicit-state implementation, a scoped edit of the
+// runtime configuration, and the structural trace check as a gtest
+// predicate.
 
 #pragma once
 
@@ -9,7 +10,11 @@
 #include <random>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "bdd/bdd.hpp"
+#include "certify/certify.hpp"
+#include "core/trace.hpp"
 #include "ctl/formula.hpp"
 #include "guard/config.hpp"
 #include "ts/transition_system.hpp"
@@ -33,6 +38,22 @@ class ScopedConfig {
  private:
   config::Config saved_;
 };
+
+/// A ScopedConfig edit: certification on.
+inline void certify_on(config::Config& c) { c.certify = true; }
+
+/// certify::TraceCertifier::certify_path as a gtest predicate: every entry
+/// is one concrete state and every step (the cycle wrap included) is a
+/// transition of `ts`.  A failure names the first failed obligation.
+inline ::testing::AssertionResult certified_path(
+    const ts::TransitionSystem& ts, const core::Trace& trace) {
+  const certify::Certificate cert =
+      certify::TraceCertifier(ts).certify_path(trace);
+  const certify::Obligation* failed = cert.first_failure();
+  if (failed == nullptr) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "obligation " << failed->name << " failed: " << failed->detail;
+}
 
 /// A random boolean function over the current rail of `m`.
 inline bdd::Bdd random_predicate(ts::TransitionSystem& m, std::mt19937& rng) {

@@ -35,9 +35,9 @@ TEST(ShortenTest, CutsPrefixLoops) {
   const bdd::Bdd s11 = state_of(*m, true, true);
   Trace t;
   t.prefix = {s00, s01, s10, s01, s11};  // loop s01 -> s10 -> s01
-  ASSERT_EQ(t.validate(*m), "");
+  ASSERT_TRUE(test::certified_path(*m, t));
   const Trace s = shorten(t, *m);
-  EXPECT_EQ(s.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, s));
   EXPECT_EQ(s.prefix, (std::vector<bdd::Bdd>{s00, s01, s11}));
 }
 
@@ -65,9 +65,9 @@ TEST(ShortenTest, JumpsIntoTheCycle) {
   Trace t;
   t.prefix = {s00, s11, s10};  // s11 is already on the cycle
   t.cycle = {s10, s01, s11};
-  ASSERT_EQ(t.validate(*m), "");
+  ASSERT_TRUE(test::certified_path(*m, t));
   const Trace s = shorten(t, *m);
-  EXPECT_EQ(s.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, s));
   EXPECT_EQ(s.prefix, (std::vector<bdd::Bdd>{s00}));
   ASSERT_EQ(s.cycle.size(), 3u);
   EXPECT_EQ(s.cycle.front(), s11);  // rotated to the junction state
@@ -87,9 +87,9 @@ TEST(ShortenTest, CutsCycleLoopsButKeepsFairness) {
   const bdd::Bdd s10 = state_of(*m, true, false);
   Trace t;
   t.cycle = {s00, s10, s01, s10, s00, s10};  // y=1 only at s01
-  ASSERT_EQ(t.validate(*m), "");
+  ASSERT_TRUE(test::certified_path(*m, t));
   const Trace s = shorten(t, *m);
-  EXPECT_EQ(s.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, s));
   bool has_fair = false;
   for (const auto& st : s.cycle) has_fair |= st.intersects(m->cur(1));
   EXPECT_TRUE(has_fair);
@@ -104,7 +104,7 @@ TEST(ShortenTest, FoldsRedundantPrefixIntoCycle) {
   WitnessGenerator wg(ck);
   const Trace t = wg.eg(m->manager().one(), m->init());
   const Trace s = shorten(t, *m);
-  EXPECT_EQ(s.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, s));
   EXPECT_EQ(s.length(), 4u);
   EXPECT_TRUE(s.prefix.empty());
   // A second application is a fixpoint.
@@ -122,7 +122,7 @@ TEST(ShortenTest, RealCounterexamplesStayValidAndDemonstrative) {
   // everywhere on it, so shortening cannot lose it).
   const Trace s =
       shorten(*e.trace, *m, {*m->label("r1") & !*m->label("a1")});
-  EXPECT_EQ(s.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, s));
   EXPECT_LE(s.length(), e.trace->length());
   for (const auto& h : m->fairness()) {
     EXPECT_TRUE(s.cycle_visits(h));
@@ -142,7 +142,7 @@ TEST(ShortenTest, ExplainerObligationsKeepTracesDemonstrative) {
     const Explanation e = ex.explain(spec);
     if (!e.trace.has_value()) continue;
     const Trace s = shorten(*e.trace, *m, e.obligations);
-    EXPECT_EQ(s.validate(*m), "") << spec;
+    EXPECT_TRUE(test::certified_path(*m, s)) << spec;
     EXPECT_LE(s.length(), e.trace->length()) << spec;
     const auto states = s.states();
     for (const auto& obligation : e.obligations) {
@@ -162,7 +162,7 @@ TEST(SimulateTest, WalksAreValidPaths) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     auto m = models::dining_philosophers({.count = 3});
     const Trace t = simulate(*m, {.steps = 25, .seed = seed});
-    EXPECT_EQ(t.validate(*m), "") << "seed " << seed;
+    EXPECT_TRUE(test::certified_path(*m, t)) << "seed " << seed;
     EXPECT_EQ(t.prefix.size(), 26u);
     EXPECT_FALSE(t.is_lasso());
     EXPECT_TRUE(t.prefix.front().implies(m->init()));
@@ -184,7 +184,7 @@ TEST(SimulateTest, ConstraintRestrictsTheWalk) {
   const bdd::Bdd no_eat0 = !*m->label("eat0");
   const Trace t =
       simulate(*m, {.steps = 30, .seed = 5, .constraint = no_eat0});
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
   EXPECT_TRUE(t.all_satisfy(no_eat0));
 }
 

@@ -2,6 +2,7 @@
 // produced trace, fairness coverage of cycles, the SCC-restart behaviour
 // of Figures 1 and 2, and both cycle-closure strategies.
 
+#include <cstdint>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -19,7 +20,7 @@ namespace {
 void expect_valid_eg_witness(const Trace& trace, ts::TransitionSystem& m,
                              const bdd::Bdd& f,
                              const std::vector<bdd::Bdd>& constraints) {
-  ASSERT_EQ(trace.validate(m), "");
+  ASSERT_TRUE(test::certified_path(m, trace));
   ASSERT_TRUE(trace.is_lasso());
   EXPECT_TRUE(trace.all_satisfy(f));
   for (const auto& h : constraints) {
@@ -43,7 +44,7 @@ TEST(TraceTest, AccessorsAndRendering) {
   EXPECT_EQ(t.at(1), t.cycle[0]);
   EXPECT_EQ(t.at(3), t.cycle[0]);  // cycle wraps
   EXPECT_EQ(t.at(4), t.cycle[1]);
-  EXPECT_EQ(t.validate(m), "");
+  EXPECT_TRUE(test::certified_path(m, t));
   const std::string rendered = t.to_string(m);
   EXPECT_NE(rendered.find("loop starts here"), std::string::npos);
 }
@@ -54,19 +55,27 @@ TEST(TraceTest, ValidateCatchesBrokenTraces) {
   m.set_init(!m.cur(x));
   m.add_trans(!(m.next(x) ^ !m.cur(x)));  // strict toggle
   m.finalize();
+  // Each broken trace fails certify_path, first at the obligation it breaks.
+  const auto first_failure = [&](const Trace& t) -> std::string {
+    const certify::Certificate cert =
+        certify::TraceCertifier(m).certify_path(t);
+    const certify::Obligation* failed = cert.first_failure();
+    return failed == nullptr ? "" : failed->name;
+  };
   Trace empty;
-  EXPECT_NE(empty.validate(m), "");
+  EXPECT_EQ(first_failure(empty), "trace-nonempty");
   Trace not_single;
   not_single.prefix = {m.manager().one()};
-  EXPECT_NE(not_single.validate(m), "");
+  EXPECT_EQ(first_failure(not_single), "single-state[0]");
   Trace bad_edge;
   bad_edge.prefix = {m.pick_state(!m.cur(x)), m.pick_state(!m.cur(x))};
-  EXPECT_NE(bad_edge.validate(m), "");  // no self loop on !x
+  EXPECT_EQ(first_failure(bad_edge), "edge[0]");  // no self loop on !x
   Trace bad_cycle;
   bad_cycle.prefix = {m.pick_state(!m.cur(x))};
   bad_cycle.cycle = {m.pick_state(m.cur(x)), m.pick_state(!m.cur(x)),
                      m.pick_state(m.cur(x))};
-  EXPECT_NE(bad_cycle.validate(m), "");  // closing edge x -> x missing
+  // closing edge x -> x missing
+  EXPECT_EQ(first_failure(bad_cycle), "cycle-closed");
 }
 
 TEST(WitnessEg, SimpleLassoWithoutFairness) {
@@ -126,7 +135,7 @@ TEST(WitnessEg, Figure1SingleSccNoRestarts) {
   Checker ck(*m);
   WitnessGenerator wg(ck);
   const Trace t = wg.eg(m->manager().one(), m->init());
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
   EXPECT_EQ(wg.stats().restarts, 0u);
   EXPECT_EQ(t.cycle.size(), 5u);
 }
@@ -138,7 +147,7 @@ TEST(WitnessEg, Figure2DescendsTheSccDag) {
   Checker ck(*m);
   WitnessGenerator wg(ck);
   const Trace t = wg.eg(m->manager().one(), m->init());
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
   EXPECT_EQ(wg.stats().restarts, 5u);
   EXPECT_EQ(t.cycle.size(), 5u);
   EXPECT_EQ(t.prefix.size(), 6u);
@@ -154,7 +163,7 @@ TEST(WitnessEg, RingsSteerPastTheChain) {
   Checker ck(*m);
   WitnessGenerator wg(ck);
   const Trace t = wg.eg(m->manager().one(), m->init());
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
   EXPECT_LE(wg.stats().restarts, 1u);
   EXPECT_TRUE(t.cycle_visits(*m->label("mark")));
 }
@@ -166,7 +175,7 @@ TEST(WitnessEg, RingsWithMarkAndCycleStartCloseImmediately) {
   Checker ck(*m);
   WitnessGenerator wg(ck);
   const Trace t = wg.eg(m->manager().one(), m->init());
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
   EXPECT_EQ(wg.stats().restarts, 0u);
   EXPECT_TRUE(t.cycle_visits(*m->label("mark")));
 }
@@ -181,7 +190,7 @@ TEST(WitnessEg, EarlyExitStrategyAlsoTerminates) {
     if (!m->init().intersects(info.states)) continue;
     WitnessGenerator wg(ck, options);
     const Trace t = wg.eg(info, m->manager().one(), m->init());
-    EXPECT_EQ(t.validate(*m), "") << "seed " << seed;
+    EXPECT_TRUE(test::certified_path(*m, t)) << "seed " << seed;
     for (const auto& h : m->fairness()) EXPECT_TRUE(t.cycle_visits(h));
   }
 }
@@ -195,7 +204,7 @@ TEST(WitnessEg, BothStrategiesOnTheChain) {
     options.strategy = strategy;
     WitnessGenerator wg(ck, options);
     const Trace t = wg.eg(m->manager().one(), m->init());
-    EXPECT_EQ(t.validate(*m), "");
+    EXPECT_TRUE(test::certified_path(*m, t));
     EXPECT_EQ(t.cycle.size(), 3u);
   }
 }
@@ -212,7 +221,7 @@ TEST(WitnessEg, PaperFaithfulModeWithoutInPlaceMarking) {
     if (!m->init().intersects(info.states)) continue;
     WitnessGenerator wg(ck, options);
     const Trace t = wg.eg(info, m->manager().one(), m->init());
-    EXPECT_EQ(t.validate(*m), "") << "seed " << seed;
+    EXPECT_TRUE(test::certified_path(*m, t)) << "seed " << seed;
     for (const auto& h : m->fairness()) {
       EXPECT_TRUE(t.cycle_visits(h)) << "seed " << seed;
     }
@@ -235,7 +244,7 @@ TEST(WitnessEu, WalksToTargetAndExtendsFairly) {
   WitnessGenerator wg(ck);
   const bdd::Bdd max = *m->label("max");
   const Trace t = wg.eu(m->manager().one(), max, m->init());
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
   ASSERT_TRUE(t.is_lasso());  // extended to an infinite fair path
   // The walk reaches max at step 7 exactly (counter distance), and the
   // fair extension wraps the full 8-state loop behind it.
@@ -258,7 +267,7 @@ TEST(WitnessEu, WithoutExtensionStopsAtTarget) {
   EXPECT_FALSE(t.is_lasso());
   ASSERT_EQ(t.prefix.size(), 8u);  // 0 .. 7
   EXPECT_TRUE(t.prefix.back().implies(max));
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
 }
 
 TEST(WitnessEu, InvariantHoldsUntilTarget) {
@@ -275,7 +284,7 @@ TEST(WitnessEu, InvariantHoldsUntilTarget) {
   const bdd::Bdd a = m.cur(v[0]);
   const bdd::Bdd b = m.cur(v[1]) & m.cur(v[2]);
   const Trace t = wg.eu(!a, b, m.init());
-  EXPECT_EQ(t.validate(m), "");
+  EXPECT_TRUE(test::certified_path(m, t));
   for (std::size_t i = 0; i + 1 < t.prefix.size(); ++i) {
     EXPECT_TRUE(t.prefix[i].implies(!a));
   }
@@ -299,7 +308,7 @@ TEST(WitnessEx, OneStepThenFairTail) {
   WitnessGenerator wg(ck);
   // From 0, EX (b.0) holds: successor is 1.
   const Trace t = wg.ex(m->cur(0 /* b.0 */), m->init());
-  EXPECT_EQ(t.validate(*m), "");
+  EXPECT_TRUE(test::certified_path(*m, t));
   ASSERT_GE(t.length(), 2u);
   EXPECT_TRUE(t.at(1).implies(m->cur(0)));
   EXPECT_THROW((void)wg.ex(m->manager().zero(), m->init()),
@@ -320,31 +329,46 @@ TEST(WitnessWalkRings, NonMonotoneChainFailsAsCertificationError) {
   // The onion rings of an EU fixpoint are an increasing chain; a chain
   // where rings[0] does not imply rings[1] would make the binary search in
   // min_ring_index return a wrong minimal index and silently corrupt the
-  // witness.  With certification enabled the full-chain scan must reject
-  // it as a recoverable CertificationError -- in every build type -- and
-  // the certificate has to name the broken link.
-  auto m = models::counter({.width = 2});
+  // witness.  walk_rings checks the chain on entry and must reject it as a
+  // recoverable CertificationError -- in every build type, certification
+  // on or off -- and the certificate has to name the broken link.
+  for (const bool certifying : {false, true}) {
+    const test::ScopedConfig scope(
+        [&](config::Config& c) { c.certify = certifying; });
+    auto m = models::counter({.width = 2});
+    Checker ck(*m);
+    WitnessGenerator wg(ck);
+    const std::vector<bdd::Bdd> rings = {m->cur(0), !m->cur(0)};
+    try {
+      (void)wg.walk_rings(rings, m->manager().one());
+      FAIL() << "non-monotone ring chain was accepted (certify "
+             << certifying << ")";
+    } catch (const certify::CertificationError& e) {
+      EXPECT_NE(std::string(e.what()).find("walk_rings"), std::string::npos);
+      ASSERT_FALSE(e.certificate().obligations.empty());
+      EXPECT_EQ(e.certificate().obligations.front().name,
+                "ring-chain-monotone");
+      EXPECT_FALSE(e.certificate().obligations.front().ok);
+    }
+  }
+}
+
+TEST(WitnessWalkRings, CertifiedWalkChecksTheChainOncePerWalk) {
+  // A certified EX b0 witness on a 10-bit counter extends to a fair lasso
+  // whose cycle closure walks a 1024-ring chain.  Each implies issues one
+  // NOT, so checking the chain once per walk costs about 1024 of them;
+  // re-checking it on every step would cost about 1024 * 1024.
+  const test::ScopedConfig scope(test::certify_on);
+  auto m = models::counter({.width = 10});
   Checker ck(*m);
   WitnessGenerator wg(ck);
-  const std::vector<bdd::Bdd> rings = {m->cur(0), !m->cur(0)};
-  const bool was_enabled = certify::enabled();
-  certify::set_enabled(true);
-  try {
-    (void)wg.walk_rings(rings, m->manager().one());
-    certify::set_enabled(was_enabled);
-    FAIL() << "non-monotone ring chain was accepted";
-  } catch (const certify::CertificationError& e) {
-    certify::set_enabled(was_enabled);
-    EXPECT_NE(std::string(e.what()).find("min_ring_index"),
-              std::string::npos);
-    ASSERT_FALSE(e.certificate().obligations.empty());
-    EXPECT_EQ(e.certificate().obligations.front().name,
-              "ring-chain-monotone");
-    EXPECT_FALSE(e.certificate().obligations.front().ok);
-  } catch (...) {
-    certify::set_enabled(was_enabled);
-    throw;
-  }
+  const std::uint64_t nots_before =
+      m->manager().stats().apply(bdd::ApplyOp::kNot);
+  const Trace t = wg.ex(m->cur(0), m->init());
+  const std::uint64_t nots =
+      m->manager().stats().apply(bdd::ApplyOp::kNot) - nots_before;
+  EXPECT_EQ(t.cycle.size(), 1024u);  // the lasso runs through every state
+  EXPECT_LT(nots, 4u * 1024u) << nots << " NOTs for a 1024-ring chain";
 }
 
 // ---------------------------------------------------------------------------
@@ -366,7 +390,7 @@ TEST_P(RandomWitnessProperty, EgWitnessContract) {
     if (info.states.is_false()) continue;
     WitnessGenerator wg(ck);
     const Trace t = wg.eg(info, f, info.states);
-    EXPECT_EQ(t.validate(*m), "") << "seed " << seed;
+    EXPECT_TRUE(test::certified_path(*m, t)) << "seed " << seed;
     EXPECT_TRUE(t.all_satisfy(f)) << "seed " << seed;
     for (const auto& h : m->fairness()) {
       EXPECT_TRUE(t.cycle_visits(h)) << "seed " << seed;
@@ -387,7 +411,7 @@ TEST_P(RandomWitnessProperty, EuWitnessContract) {
     if (!m->init().intersects(can)) continue;
     WitnessGenerator wg(ck);
     const Trace t = wg.eu(f, g, m->init());
-    EXPECT_EQ(t.validate(*m), "") << "seed " << seed;
+    EXPECT_TRUE(test::certified_path(*m, t)) << "seed " << seed;
     // f holds up to (excluding) the first g-state.
     bool seen_g = false;
     for (const auto& s : t.states()) {
