@@ -167,7 +167,7 @@ int run_resume(const std::string& snapshot_path, bool shorten_traces) {
 
 /// Build spec `i`'s evidence bundle, annotate it with SMV-level domains and
 /// COI provenance, and write it.  Throws std::length_error when a conjunct
-/// or predicate exceeds the cover cap (evidence::cover_of).
+/// or predicate exceeds the cover cap (evidence::cover_size).
 void emit_bundle(const symcex::smv::SmvModel& model,
                  const symcex::core::Checker& checker, std::size_t i,
                  const symcex::core::Explanation& result) {

@@ -16,6 +16,10 @@
 
 #include <sys/mman.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "diag/metrics.hpp"
 #include "guard/config.hpp"
 #include "guard/fault.hpp"
@@ -84,6 +88,10 @@ const char* apply_op_name(ApplyOp op) {
       return "rel_next";
     case ApplyOp::kRelPrev:
       return "rel_prev";
+    case ApplyOp::kImplies:
+      return "implies";
+    case ApplyOp::kIntersects:
+      return "intersects";
     case ApplyOp::kCount:
       break;
   }
@@ -161,6 +169,31 @@ Bdd Bdd::operator^(const Bdd& g) const {
                          [&] { return mgr_->xor_rec(idx_, g.idx_); });
 }
 
+bool Bdd::implies(const Bdd& g) const {
+  if (mgr_ == nullptr) throw std::logic_error("Bdd: operation on null handle");
+  mgr_->check_mine(g, "implies");
+  return mgr_
+      ->run_apply(ApplyOp::kImplies,
+                  [&] {
+                    return mgr_->implies_rec(idx_, g.idx_) ? Manager::kTrue
+                                                           : Manager::kFalse;
+                  })
+      .is_true();
+}
+
+bool Bdd::intersects(const Bdd& g) const {
+  if (mgr_ == nullptr) throw std::logic_error("Bdd: operation on null handle");
+  mgr_->check_mine(g, "intersects");
+  return mgr_
+      ->run_apply(ApplyOp::kIntersects,
+                  [&] {
+                    return mgr_->intersects_rec(idx_, g.idx_)
+                               ? Manager::kTrue
+                               : Manager::kFalse;
+                  })
+      .is_true();
+}
+
 Bdd Bdd::exists(const Bdd& cube) const {
   if (mgr_ == nullptr) throw std::logic_error("Bdd: operation on null handle");
   mgr_->check_mine(cube, "exists");
@@ -211,6 +244,11 @@ Bdd Bdd::restrict_var(std::uint32_t var, bool value) const {
     std::unordered_map<std::uint32_t, std::uint32_t> memo;
     return mgr_->restrict_rec(idx_, var, value, memo);
   });
+}
+
+std::size_t Bdd::for_each_cube(const CubeVisitor& visit) const {
+  if (mgr_ == nullptr) throw std::logic_error("Bdd: operation on null handle");
+  return mgr_->walk_cover(*this, visit);
 }
 
 std::size_t Bdd::dag_size() const {
@@ -398,6 +436,12 @@ Manager::~Manager() {
   auto& registry = diag::Registry::global();
   if (diag::enabled()) fold_stats_into_diag(registry);
   registry.unregister_source(diag_source_id_);
+#ifdef __GLIBC__
+  // A check frees most of what it allocated when its manager dies: hand
+  // the malloc heap's free pages back, so a process that runs many checks
+  // stays sized by its live data rather than by its largest check so far.
+  malloc_trim(0);
+#endif
 }
 
 void Manager::fold_stats_into_diag(diag::Registry& r) const {
@@ -556,7 +600,7 @@ void Manager::grow_cache() {
     // Free first, so a growth never holds two tables at once.  Growing in
     // the middle of a kernel is safe: the cache is a pure memo, so the
     // kernel only loses hits.
-    std::vector<CacheEntry, CacheAllocator>().swap(cache_);
+    Table<CacheEntry>().swap(cache_);
     cache_.assign(2 * size, CacheEntry{});
     ++stats_.cache_growths;
   } catch (const std::bad_alloc&) {
@@ -571,7 +615,7 @@ void Manager::grow_cache() {
 
 void Manager::grow_table() {
   const std::size_t new_size = buckets_.size() * 2;
-  std::vector<std::uint32_t> fresh;
+  Table<std::uint32_t> fresh;
   try {
     if (guard::fault_fire(guard::FaultKind::kAlloc, "table")) {
       throw std::bad_alloc{};
@@ -588,7 +632,9 @@ void Manager::grow_table() {
   buckets_.swap(fresh);
   for (std::uint32_t n = 2; n < nodes_.size(); ++n) {
     Node& nd = nodes_[n];
-    if (nd.var == kFreeVar || nd.var == kTermVar) continue;
+    if (nd.var == kFreeVar || nd.var == kTermVar || nd.next == kUnlinked) {
+      continue;
+    }
     const std::size_t b = bucket_of(nd.var, nd.lo, nd.hi);
     nd.next = buckets_[b];
     buckets_[b] = n;
@@ -822,7 +868,12 @@ void Manager::swap_levels(std::uint32_t lvl) {
        ++n) {
     if (nodes_[n].var == x) upper.push_back(n);
   }
-  for (const std::uint32_t n : upper) unlink_node(n);
+  for (const std::uint32_t n : upper) {
+    unlink_node(n);
+    // grow_table, which mk() below may call, must not thread it back in
+    // under the triple it is about to lose.
+    nodes_[n].next = kUnlinked;
+  }
   // Flip the permutation first so mk() and level() see the new order.
   displaced_vars_ -= static_cast<std::size_t>(var2level_[x] != x) +
                      static_cast<std::size_t>(var2level_[y] != y);
@@ -1212,7 +1263,7 @@ std::string Manager::audit_check() const {
     for (std::size_t slot = 0; slot < cache_.size(); ++slot) {
       const CacheEntry& e = cache_[slot];
       if (!e.valid) continue;
-      if (e.op < kOpNot || e.op > kOpRelPrev) {
+      if (e.op < kOpNot || e.op > kOpIntersects) {
         return fail("cache slot " + std::to_string(slot) +
                     " holds unknown op " + std::to_string(e.op));
       }
@@ -1490,19 +1541,18 @@ void FixpointGuard::tick() {
 }
 
 // ---------------------------------------------------------------------------
-// Computed cache
+// Table pages and the computed cache
 // ---------------------------------------------------------------------------
 
-Manager::CacheEntry* Manager::CacheAllocator::allocate(std::size_t n) {
-  void* p = mmap(nullptr, n * sizeof(CacheEntry), PROT_READ | PROT_WRITE,
+void* Manager::map_pages(std::size_t bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc{};
-  return static_cast<CacheEntry*>(p);
+  return p;
 }
 
-void Manager::CacheAllocator::deallocate(CacheEntry* p,
-                                         std::size_t n) noexcept {
-  munmap(p, n * sizeof(CacheEntry));
+void Manager::unmap_pages(void* p, std::size_t bytes) noexcept {
+  munmap(p, bytes);
 }
 
 bool Manager::cache_get(std::uint32_t op, std::uint32_t f, std::uint32_t g,
@@ -1563,6 +1613,44 @@ std::uint32_t Manager::and_rec(std::uint32_t f, std::uint32_t g) {
   const std::uint32_t g1 = ng.var == tv ? ng.hi : g;
   const std::uint32_t r = mk(tv, and_rec(f0, g0), and_rec(f1, g1));
   cache_put(kOpAnd, f, g, 0, r);
+  return r;
+}
+
+bool Manager::implies_rec(std::uint32_t f, std::uint32_t g) {
+  const Frame frame(*this);
+  if (f == kFalse || g == kTrue || f == g) return true;
+  if (f == kTrue || g == kFalse) return false;
+  std::uint32_t cached;
+  if (cache_get(kOpImplies, f, g, 0, cached)) return cached == kTrue;
+  const std::uint32_t top = std::min(level(f), level(g));
+  const std::uint32_t tv = level2var_[top];
+  // No mk below, so the node references stay valid.
+  const Node& nf = nodes_[f];
+  const Node& ng = nodes_[g];
+  const bool r = implies_rec(nf.var == tv ? nf.lo : f,
+                             ng.var == tv ? ng.lo : g) &&
+                 implies_rec(nf.var == tv ? nf.hi : f,
+                             ng.var == tv ? ng.hi : g);
+  cache_put(kOpImplies, f, g, 0, r ? kTrue : kFalse);
+  return r;
+}
+
+bool Manager::intersects_rec(std::uint32_t f, std::uint32_t g) {
+  const Frame frame(*this);
+  if (f == kFalse || g == kFalse) return false;
+  if (f == kTrue || g == kTrue || f == g) return true;
+  if (f > g) std::swap(f, g);  // symmetric: normalize for the cache
+  std::uint32_t cached;
+  if (cache_get(kOpIntersects, f, g, 0, cached)) return cached == kTrue;
+  const std::uint32_t top = std::min(level(f), level(g));
+  const std::uint32_t tv = level2var_[top];
+  const Node& nf = nodes_[f];
+  const Node& ng = nodes_[g];
+  const bool r = intersects_rec(nf.var == tv ? nf.lo : f,
+                                ng.var == tv ? ng.lo : g) ||
+                 intersects_rec(nf.var == tv ? nf.hi : f,
+                                ng.var == tv ? ng.hi : g);
+  cache_put(kOpIntersects, f, g, 0, r ? kTrue : kFalse);
   return r;
 }
 
@@ -1865,6 +1953,66 @@ std::uint32_t Manager::rel_prev_rec(std::uint32_t s, std::uint32_t t,
   }
   cache_put(kOpRelPrev, s, t, cube, r);
   return r;
+}
+
+std::size_t Manager::walk_cover(const Bdd& f, const CubeVisitor& visit) {
+  // Under the identity order a node's own variable is the lowest-index
+  // variable of its support, so every split takes the child edges.  Under
+  // any other order the lowest-index support variable may sit deeper; it
+  // is computed once per node (memo) and split on with restrict_var.  A
+  // collection may free and recycle node indices (a reorder session starts
+  // with one), so the memo is dropped whenever one ran.
+  std::unordered_map<std::uint32_t, std::uint32_t> lowest;
+  std::size_t memo_gc = stats_.gc_runs;
+  const auto lowest_var = [&](auto& self, std::uint32_t n) -> std::uint32_t {
+    if (nodes_[n].var >= num_vars_) return kTermVar;
+    if (identity_order()) return nodes_[n].var;
+    if (const auto it = lowest.find(n); it != lowest.end()) return it->second;
+    const Node nd = nodes_[n];
+    const std::uint32_t r =
+        std::min({nd.var, self(self, nd.lo), self(self, nd.hi)});
+    lowest.emplace(n, r);
+    return r;
+  };
+
+  std::vector<CubeLiteral> cube;
+  std::size_t cubes = 0;
+  // Returns false once `visit` asked to stop.
+  const auto walk = [&](auto& self, std::uint32_t n) -> bool {
+    if (n == kFalse) return true;
+    if (n == kTrue) {
+      ++cubes;
+      return visit(cube);
+    }
+    if (stats_.gc_runs != memo_gc) {
+      lowest.clear();
+      memo_gc = stats_.gc_runs;
+    }
+    const std::uint32_t v = lowest_var(lowest_var, n);
+    const Node nd = nodes_[n];
+    // Off the identity order the cofactors are held as handles: the
+    // collections and reorders restrict_var may run keep them, and every
+    // node on the walk's path, alive.
+    Bdd lo;
+    Bdd hi;
+    if (nd.var != v) {
+      lo = wrap(n).restrict_var(v, false);
+      hi = wrap(n).restrict_var(v, true);
+    } else if (!identity_order()) {
+      lo = wrap(nd.lo);
+      hi = wrap(nd.hi);
+    }
+    for (const bool value : {false, true}) {
+      cube.push_back(CubeLiteral{v, value});
+      const std::uint32_t child = lo.is_null() ? (value ? nd.hi : nd.lo)
+                                               : (value ? hi : lo).idx_;
+      if (!self(self, child)) return false;
+      cube.pop_back();
+    }
+    return true;
+  };
+  walk(walk, f.idx_);
+  return cubes;
 }
 
 std::uint32_t Manager::restrict_rec(

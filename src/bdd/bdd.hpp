@@ -62,6 +62,15 @@ namespace symcex::bdd {
 class FixpointGuard;
 class Manager;
 
+/// One literal of a cover cube: variable `var` takes `value`.
+struct CubeLiteral {
+  std::uint32_t var = 0;
+  bool value = false;
+};
+
+/// Receives one cube of Bdd::for_each_cube; returns false to stop the walk.
+using CubeVisitor = std::function<bool(const std::vector<CubeLiteral>&)>;
+
 /// RAII handle to a BDD node.  Copying a handle bumps the node's external
 /// reference count; destruction releases it.  A default-constructed handle
 /// is "null" (attached to no manager) and may only be assigned to or
@@ -112,15 +121,14 @@ class Bdd {
   Bdd& operator-=(const Bdd& g) { return *this = *this - g; }
 
   /// Logical implication test: does this function imply g everywhere?
-  [[nodiscard]] bool implies(const Bdd& g) const {
-    return (*this - g).is_false();
-  }
+  /// Decided as (f - g).is_false() by one cached recursion that builds no
+  /// node and stops at the first assignment that separates the two.
+  [[nodiscard]] bool implies(const Bdd& g) const;
   /// Set view: is this set (of satisfying assignments) a subset of g's?
   [[nodiscard]] bool is_subset_of(const Bdd& g) const { return implies(g); }
-  /// Do this function and g share a satisfying assignment?
-  [[nodiscard]] bool intersects(const Bdd& g) const {
-    return !(*this & g).is_false();
-  }
+  /// Do this function and g share a satisfying assignment?  Decided as
+  /// !(f & g).is_false(), like implies() without building the conjunction.
+  [[nodiscard]] bool intersects(const Bdd& g) const;
 
   /// Existentially quantify all variables of `cube` (a positive-literal
   /// conjunction) out of this function.
@@ -156,6 +164,16 @@ class Bdd {
   /// Evaluate under a total assignment (indexed by variable).
   [[nodiscard]] bool eval(const std::vector<bool>& assignment) const;
 
+  /// Walk this function's canonical disjoint cover: the Shannon expansion
+  /// on the lowest-index support variable, false branch first, so the
+  /// cubes and their order depend only on the function and the variable
+  /// numbering, never on the current level order.  `visit` sees each cube's
+  /// literals in ascending variable order and returns false to end the
+  /// walk.  Under the identity order the walk follows child edges and
+  /// builds no node; otherwise it cofactors with restrict_var.  Returns the
+  /// number of cubes visited.
+  std::size_t for_each_cube(const CubeVisitor& visit) const;
+
   /// Render a single cube (conjunction of literals) as e.g. "x0 & !x2".
   /// Requires this BDD to be a cube; names may be empty (then "v<i>").
   [[nodiscard]] std::string cube_string(
@@ -190,6 +208,8 @@ enum class ApplyOp : std::size_t {
   kCompose,
   kRelNext,
   kRelPrev,
+  kImplies,
+  kIntersects,
   kCount,  // number of entries, not an operation
 };
 inline constexpr std::size_t kNumApplyOps =
@@ -267,8 +287,11 @@ struct ManagerOptions {
   /// forgets its entries); after a failed growth the cache keeps its
   /// current size.
   std::uint32_t cache_log2_size = 18;
-  /// Run GC when this many nodes are live; doubles when GC is ineffective.
-  std::size_t gc_threshold = 1u << 18;
+  /// Run GC when this many nodes are live; doubles when a collection
+  /// leaves more than half of it live.  Small on purpose: the node table
+  /// and the computed cache grow with the live nodes and never shrink, so
+  /// dead nodes left standing would size both for good.
+  std::size_t gc_threshold = 1u << 14;
   /// Disable automatic garbage collection (explicit gc() still works).
   bool disable_auto_gc = false;
 };
@@ -558,6 +581,8 @@ class Manager {
   static constexpr std::uint32_t kTermVar = 0xFFFFFFFFu;  // terminal "level"
   static constexpr std::uint32_t kFreeVar = 0xFFFFFFFEu;  // freed slot marker
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;      // chain terminator
+  // `next` of a node swap_levels has taken off its chain for a rewrite.
+  static constexpr std::uint32_t kUnlinked = 0xFFFFFFFEu;
 
   struct Node {
     std::uint32_t var;   // variable index (level via var2level_);
@@ -575,19 +600,30 @@ class Manager {
     bool valid = false;
   };
 
-  /// Allocates computed-cache tables straight from the OS and returns the
-  /// pages on deallocate (bdd.cpp).  A table that grows by doubling would
-  /// otherwise leave its freed predecessors resident in the malloc heap.
-  struct CacheAllocator {
-    using value_type = CacheEntry;
+  /// Allocates the manager's tables (nodes, unique table, computed cache)
+  /// straight from the OS and returns the pages on deallocate.  A table
+  /// that grows by doubling would otherwise leave its freed predecessors,
+  /// and a destroyed manager all of its tables, resident in the malloc heap.
+  template <typename T>
+  struct PageAllocator {
+    using value_type = T;
+    PageAllocator() = default;
     template <typename U>
-    struct rebind {
-      using other = CacheAllocator;
-    };
-    [[nodiscard]] CacheEntry* allocate(std::size_t n);
-    void deallocate(CacheEntry* p, std::size_t n) noexcept;
-    bool operator==(const CacheAllocator&) const = default;
+    explicit PageAllocator(const PageAllocator<U>&) {}
+    [[nodiscard]] T* allocate(std::size_t n) {
+      return static_cast<T*>(map_pages(n * sizeof(T)));
+    }
+    void deallocate(T* p, std::size_t n) noexcept {
+      unmap_pages(p, n * sizeof(T));
+    }
+    friend bool operator==(const PageAllocator&, const PageAllocator&) {
+      return true;
+    }
   };
+  template <typename T>
+  using Table = std::vector<T, PageAllocator<T>>;
+  [[nodiscard]] static void* map_pages(std::size_t bytes);
+  static void unmap_pages(void* p, std::size_t bytes) noexcept;
 
   enum Op : std::uint32_t {
     kOpNot = 1,
@@ -602,6 +638,8 @@ class Manager {
     kOpCompose,
     kOpRelNext,
     kOpRelPrev,
+    kOpImplies,
+    kOpIntersects,
   };
 
   // -- node plumbing -------------------------------------------------------
@@ -705,6 +743,9 @@ class Manager {
                              std::uint32_t cube);
   std::uint32_t rel_prev_rec(std::uint32_t s, std::uint32_t t,
                              std::uint32_t cube);
+  /// Decision kernels: they only read nodes, and cache kTrue / kFalse.
+  bool implies_rec(std::uint32_t f, std::uint32_t g);
+  bool intersects_rec(std::uint32_t f, std::uint32_t g);
   /// mk(var, lo, hi) for the rel kernels: throws std::invalid_argument when
   /// a child sits at or above var's level (see rel_next).
   std::uint32_t mk_rel(std::uint32_t var, std::uint32_t lo, std::uint32_t hi,
@@ -719,11 +760,12 @@ class Manager {
   void fold_stats_into_diag(diag::Registry& registry) const;
 
   // Helpers used by Bdd methods.
+  std::size_t walk_cover(const Bdd& f, const CubeVisitor& visit);
   std::uint32_t restrict_rec(std::uint32_t f, std::uint32_t var, bool value,
                              std::unordered_map<std::uint32_t, std::uint32_t>& memo);
 
-  std::vector<Node> nodes_;
-  std::vector<std::uint32_t> buckets_;   // unique table, power-of-two size
+  Table<Node> nodes_;
+  Table<std::uint32_t> buckets_;         // unique table, power-of-two size
   std::vector<std::uint32_t> free_list_;
   std::size_t num_vars_ = 0;
   std::size_t live_nodes_ = 0;
@@ -734,7 +776,7 @@ class Manager {
   int diag_source_id_ = -1;  // registration with diag::Registry::global()
 
   // Computed cache and kernel recursion state.
-  std::vector<CacheEntry, CacheAllocator> cache_;
+  Table<CacheEntry> cache_;
   std::size_t cache_max_slots_ = 0;  // growth ceiling (ManagerOptions)
   std::size_t depth_ = 0;   // live guarded kernel frames
   std::uint32_t poll_ = 0;  // deadline poll tick (see Frame)

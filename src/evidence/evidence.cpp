@@ -1,5 +1,6 @@
 #include "evidence/evidence.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,43 +24,35 @@ static_assert(version::kEvidenceSchemaVersion ==
 
 namespace {
 
-void cover_rec(const bdd::Bdd& f, std::vector<Literal>& cube,
-               std::vector<std::vector<Literal>>& out, std::size_t max_cubes) {
-  if (f.is_false()) return;
-  if (f.is_true()) {
-    if (out.size() >= max_cubes) {
-      throw std::length_error(
-          "evidence::cover_of: DNF cover exceeds the cube cap");
-    }
-    out.push_back(cube);
-    return;
-  }
-  // Always split on the lowest-index support variable, false branch first:
-  // the resulting disjoint cover depends only on the function and the
-  // variable numbering, never on the manager's current level permutation.
-  const std::uint32_t bv = f.support().front();
-  for (const bool value : {false, true}) {
-    cube.push_back(Literal{bv / 2, bv % 2, value});
-    cover_rec(f.restrict_var(bv, value), cube, out, max_cubes);
-    cube.pop_back();
-  }
+/// Append `n` in decimal.
+void append_decimal(std::string& out, std::uint32_t n) {
+  char digits[10];
+  const char* end = std::to_chars(digits, digits + sizeof digits, n).ptr;
+  out.append(digits, static_cast<std::size_t>(end - digits));
 }
 
-void write_cover(diag::JsonWriter& w, const Cover& cover) {
+/// Stream `f`'s cover cube by cube, each cube rendered into the one
+/// reused `cube_text` buffer.
+void write_cover(diag::JsonWriter& w, const bdd::Bdd& f,
+                 std::string& cube_text) {
   w.begin_object();
   w.key("cubes");
   w.begin_array();
-  for (const auto& cube : cover.cubes) {
-    w.begin_array();
-    for (const Literal& lit : cube) {
-      w.begin_array();
-      w.value(static_cast<std::uint64_t>(lit.var));
-      w.value(static_cast<std::uint64_t>(lit.rail));
-      w.value(lit.value ? 1 : 0);
-      w.end_array();
+  f.for_each_cube([&](const std::vector<bdd::CubeLiteral>& cube) {
+    cube_text.assign(1, '[');
+    for (std::size_t i = 0; i < cube.size(); ++i) {
+      const Literal lit = literal_of(cube[i]);
+      if (i != 0) cube_text += ", ";
+      cube_text += '[';
+      append_decimal(cube_text, lit.var);
+      cube_text += lit.rail != 0 ? ", 1, " : ", 0, ";
+      cube_text += lit.value ? '1' : '0';
+      cube_text += ']';
     }
-    w.end_array();
-  }
+    cube_text += ']';
+    w.raw(cube_text);
+    return true;
+  });
   w.end_array();
   w.end_object();
 }
@@ -77,11 +70,17 @@ void write_state_rows(diag::JsonWriter& w,
 
 }  // namespace
 
-Cover cover_of(const bdd::Bdd& f, std::size_t max_cubes) {
-  Cover cover;
-  std::vector<Literal> cube;
-  cover_rec(f, cube, cover.cubes, max_cubes);
-  return cover;
+std::size_t cover_size(const bdd::Bdd& f, std::size_t max_cubes) {
+  std::size_t seen = 0;
+  const std::size_t cubes =
+      f.for_each_cube([&](const std::vector<bdd::CubeLiteral>&) {
+        return ++seen <= max_cubes;
+      });
+  if (cubes > max_cubes) {
+    throw std::length_error(
+        "evidence::cover_size: DNF cover exceeds the cube cap");
+  }
+  return cubes;
 }
 
 const char* duty_kind_name(Duty::Kind k) {
@@ -107,10 +106,7 @@ const char* duty_kind_name(Duty::Kind k) {
 BundleBuilder::BundleBuilder(const ts::TransitionSystem& ts,
                              std::string model_name)
     : ts_(ts), model_name_(std::move(model_name)) {
-  conjuncts_.reserve(ts_.trans_parts().size());
-  for (const bdd::Bdd& part : ts_.trans_parts()) {
-    conjuncts_.push_back(cover_of(part));
-  }
+  for (const bdd::Bdd& part : ts_.trans_parts()) (void)cover_size(part);
 }
 
 void BundleBuilder::set_check(std::string spec, std::string verdict,
@@ -134,13 +130,15 @@ void BundleBuilder::set_trace(const core::Trace& trace) {
 }
 
 int BundleBuilder::add_predicate(const bdd::Bdd& states) {
-  const auto [it, fresh] = predicate_index_.try_emplace(
-      states, static_cast<int>(predicate_bdds_.size()));
-  if (fresh) {
-    predicate_bdds_.push_back(states);
-    predicate_covers_.push_back(cover_of(states));
+  if (const auto it = predicate_index_.find(states);
+      it != predicate_index_.end()) {
+    return it->second;
   }
-  return it->second;
+  (void)cover_size(states);
+  const int index = static_cast<int>(predicate_bdds_.size());
+  predicate_bdds_.push_back(states);
+  predicate_index_.emplace(states, index);
+  return index;
 }
 
 void BundleBuilder::add_duty_eg(const bdd::Bdd& invariant,
@@ -261,17 +259,20 @@ void BundleBuilder::write_json(std::ostream& os) const {
   write_state_rows(w, cycle_values_);
   w.end_object();
 
+  std::string cube_text;
   w.key("transition_relation");
   w.begin_object();
   w.key("conjuncts");
   w.begin_array();
-  for (const Cover& c : conjuncts_) write_cover(w, c);
+  for (const bdd::Bdd& part : ts_.trans_parts()) {
+    write_cover(w, part, cube_text);
+  }
   w.end_array();
   w.end_object();
 
   w.key("predicates");
   w.begin_array();
-  for (const Cover& c : predicate_covers_) write_cover(w, c);
+  for (const bdd::Bdd& p : predicate_bdds_) write_cover(w, p, cube_text);
   w.end_array();
 
   w.key("duties");
@@ -322,10 +323,59 @@ void BundleBuilder::write_json(std::ostream& os) const {
   w.end_object();
 }
 
+namespace {
+
+/// Counts the bytes written through it and keeps none.
+class CountingBuf : public std::streambuf {
+ public:
+  std::size_t count = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    count += static_cast<std::size_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) ++count;
+    return traits_type::not_eof(c);
+  }
+};
+
+/// Appends the bytes written through it to a string.
+class AppendBuf : public std::streambuf {
+ public:
+  explicit AppendBuf(std::string& out) : out_(out) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    out_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      out_.push_back(traits_type::to_char_type(c));
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::string& out_;
+};
+
+}  // namespace
+
 std::string BundleBuilder::to_json() const {
-  std::ostringstream os;
+  // Two passes: the first sizes the string, so the bundle is allocated once
+  // at its length instead of doubling past it and holding both copies.
+  CountingBuf counter;
+  std::ostream sizing(&counter);
+  write_json(sizing);
+  std::string json;
+  json.reserve(counter.count);
+  AppendBuf sink(json);
+  std::ostream os(&sink);
   write_json(os);
-  return os.str();
+  return json;
 }
 
 // ---------------------------------------------------------------------------

@@ -60,22 +60,23 @@ struct Literal {
   std::uint32_t var = 0;
   std::uint32_t rail = 0;
   bool value = false;
+
+  friend bool operator==(const Literal&, const Literal&) = default;
 };
 
-/// Engine-independent DNF encoding of a boolean function over the two
-/// variable rails: true iff the literals of some cube are all satisfied.
-/// Cubes are pairwise disjoint (Shannon expansion picks the lowest-index
-/// support variable first), so the cover is canonical for the function and
-/// independent of the manager's current variable order.
-struct Cover {
-  std::vector<std::vector<Literal>> cubes;
-};
+/// The exported form of a literal of bdd::Bdd::for_each_cube over the
+/// interleaved two-rail encoding (BDD variable 2v + r is variable v on rail
+/// r).  A function's cover is the disjunction of its pairwise disjoint
+/// cubes, canonical for the function and independent of the manager's
+/// current variable order.
+[[nodiscard]] inline Literal literal_of(const bdd::CubeLiteral& l) {
+  return Literal{l.var / 2, l.var % 2, l.value};
+}
 
-/// Expand `f` (over the interleaved two-rail encoding of `ts`) into its
-/// canonical DNF cover.  Throws std::length_error if the expansion would
-/// exceed `max_cubes` cubes -- bundles are meant to stay inspectable, and
-/// the raw conjunct list of every bundled model is far below this cap.
-[[nodiscard]] Cover cover_of(const bdd::Bdd& f, std::size_t max_cubes = 65536);
+/// The number of cubes in `f`'s cover.  Throws std::length_error when it
+/// exceeds `max_cubes` -- bundles are meant to stay inspectable, and the
+/// raw conjunct list of every bundled model is far below this cap.
+std::size_t cover_size(const bdd::Bdd& f, std::size_t max_cubes = 65536);
 
 /// A semantic duty the trace must discharge; `symcex-verify` re-checks
 /// each one from the exported covers.  Predicate fields are indices into
@@ -106,8 +107,9 @@ struct Duty {
 /// same bytes.
 class BundleBuilder {
  public:
-  /// Captures the model metadata and the engine-independent export of the
-  /// raw transition conjunct list (ts.trans_parts()) immediately.
+  /// Binds the model; the raw transition conjunct list (ts.trans_parts())
+  /// is exported by write_json.  Throws std::length_error when a
+  /// conjunct's cover exceeds the cube cap (cover_size).
   BundleBuilder(const ts::TransitionSystem& ts, std::string model_name);
 
   /// Describe the check: the spec text, the verdict ("true" / "false" /
@@ -121,7 +123,8 @@ class BundleBuilder {
   void set_trace(const core::Trace& trace);
 
   /// Intern a current-rail state predicate into the predicate table;
-  /// returns its index (deduplicated by function identity).
+  /// returns its index (deduplicated by function identity).  Throws
+  /// std::length_error when its cover exceeds the cube cap.
   int add_predicate(const bdd::Bdd& states);
 
   // -- semantic duties -------------------------------------------------------
@@ -178,9 +181,7 @@ class BundleBuilder {
   core::Trace trace_;
   std::vector<std::vector<bool>> prefix_values_;  // decoded trace states
   std::vector<std::vector<bool>> cycle_values_;
-  std::vector<Cover> conjuncts_;                  // ts.trans_parts() covers
   std::vector<bdd::Bdd> predicate_bdds_;
-  std::vector<Cover> predicate_covers_;
   std::map<bdd::Bdd, int> predicate_index_;
   std::vector<Duty> duties_;
   std::vector<std::pair<std::string, certify::Certificate>> certificates_;

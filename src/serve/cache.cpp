@@ -49,16 +49,19 @@ struct Fnv2 {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes(s.data(), s.size());
   }
-  void cover(const evidence::Cover& c) {
-    u32(static_cast<std::uint32_t>(c.cubes.size()));
-    for (const auto& cube : c.cubes) {
+  /// The cube count, then every cube of `f`'s evidence cover.
+  void cover(const bdd::Bdd& f, std::size_t max_cubes) {
+    u32(static_cast<std::uint32_t>(evidence::cover_size(f, max_cubes)));
+    f.for_each_cube([this](const std::vector<bdd::CubeLiteral>& cube) {
       u32(static_cast<std::uint32_t>(cube.size()));
-      for (const auto& lit : cube) {
+      for (const bdd::CubeLiteral& l : cube) {
+        const evidence::Literal lit = evidence::literal_of(l);
         u32(lit.var);
         u32(lit.rail);
         byte(lit.value ? 1 : 0);
       }
-    }
+      return true;
+    });
   }
 };
 
@@ -130,15 +133,15 @@ ModelFingerprint model_fingerprint(const ts::TransitionSystem& ts,
   // Each component class is tagged so e.g. a fairness constraint can
   // never collide with an identical label predicate.
   h.byte('I');
-  h.cover(evidence::cover_of(ts.init(), max_cubes));
+  h.cover(ts.init(), max_cubes);
   h.byte('T');
   h.u32(static_cast<std::uint32_t>(ts.trans_parts().size()));
   for (const bdd::Bdd& part : ts.trans_parts())
-    h.cover(evidence::cover_of(part, max_cubes));
+    h.cover(part, max_cubes);
   h.byte('F');
   h.u32(static_cast<std::uint32_t>(ts.fairness().size()));
   for (const bdd::Bdd& constraint : ts.fairness())
-    h.cover(evidence::cover_of(constraint, max_cubes));
+    h.cover(constraint, max_cubes);
   h.byte('L');
   std::vector<std::string> label_names;
   label_names.reserve(ts.labels().size());
@@ -147,7 +150,7 @@ ModelFingerprint model_fingerprint(const ts::TransitionSystem& ts,
   h.u32(static_cast<std::uint32_t>(label_names.size()));
   for (const std::string& name : label_names) {
     h.str(name);
-    h.cover(evidence::cover_of(*ts.label(name), max_cubes));
+    h.cover(*ts.label(name), max_cubes);
   }
   return ModelFingerprint{h.lo.value(), h.hi.value()};
 }

@@ -19,7 +19,7 @@
 //   key = model_fingerprint(ts) . "-" . hex(ctl::formula_hash(spec))
 //
 // where model_fingerprint hashes the *canonical DNF covers*
-// (evidence::cover_of -- variable-order independent, canonical per
+// (bdd::Bdd::for_each_cube -- variable-order independent, canonical per
 // function) of init, every raw transition conjunct, every fairness
 // constraint and every label, together with the variable table.  Two
 // models with the same fingerprint have identical labelled transition

@@ -215,6 +215,43 @@ TEST_F(BddTest, ImplicationAndIntersection) {
   EXPECT_TRUE((a & b).is_subset_of(a | b));
 }
 
+TEST_F(BddTest, ImpliesAndIntersectsAgreeWithTheBuiltFunctions) {
+  std::mt19937 rng(31);
+  const auto random_fn = [&] {
+    Bdd f = m.zero();
+    const int terms = 1 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < terms; ++i) {
+      Bdd cube = m.one();
+      for (std::uint32_t v = 0; v < 8; ++v) {
+        const auto choice = rng() % 3;
+        if (choice == 0) cube &= m.var(v);
+        if (choice == 1) cube &= m.nvar(v);
+      }
+      f |= cube;
+    }
+    return f;
+  };
+  std::vector<Bdd> fns{m.zero(), m.one()};
+  for (int i = 0; i < 40; ++i) fns.push_back(random_fn());
+  // Nested pairs, so that implication holds in a good share of the cases.
+  for (int i = 0; i < 20; ++i) fns.push_back(fns[2 + i] | fns[3 + i]);
+  std::size_t implied = 0;
+  for (const Bdd& f : fns) {
+    for (const Bdd& g : fns) {
+      const bool expect_implies = (f - g).is_false();
+      const bool expect_intersects = !(f & g).is_false();
+      // The decisions read the diagram only: no node, found or built.
+      const ManagerStats before = m.stats();
+      EXPECT_EQ(f.implies(g), expect_implies);
+      EXPECT_EQ(f.intersects(g), expect_intersects);
+      EXPECT_EQ(m.stats().unique_hits, before.unique_hits);
+      EXPECT_EQ(m.stats().unique_misses, before.unique_misses);
+      implied += expect_implies ? 1 : 0;
+    }
+  }
+  EXPECT_GT(implied, fns.size());  // more than the reflexive pairs
+}
+
 TEST_F(BddTest, GarbageCollectionReclaimsDeadNodes) {
   ManagerOptions options;
   options.disable_auto_gc = true;

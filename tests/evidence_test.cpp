@@ -5,9 +5,12 @@
 // failure.  The strict JSON parser shared with symcex-verify
 // (tools/json_mini.hpp) doubles as the round-trip oracle.
 
+#include <sys/wait.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "evidence/evidence.hpp"
 #include "json_mini.hpp"
 #include "models/models.hpp"
+#include "order/order.hpp"
 #include "test_util.hpp"
 
 #ifndef SYMCEX_VERIFY_BIN
@@ -61,6 +65,46 @@ int run_verify(const std::string& dir, const std::string& paths,
   const int status = std::system(cmd.c_str());
   *output = read_file(log);
   return status;
+}
+
+using Cube = std::vector<evidence::Literal>;
+using Cover = std::vector<Cube>;
+
+/// The cover as the evidence layer first defined it, kept as the reference
+/// for Bdd::for_each_cube: split on the lowest-index variable of a freshly
+/// computed support, false branch first, and cofactor with restrict_var.
+void reference_cover_rec(const bdd::Bdd& f, Cube& cube, Cover& out) {
+  if (f.is_false()) return;
+  if (f.is_true()) {
+    out.push_back(cube);
+    return;
+  }
+  const std::uint32_t bv = f.support().front();
+  for (const bool value : {false, true}) {
+    cube.push_back(evidence::Literal{bv / 2, bv % 2, value});
+    reference_cover_rec(f.restrict_var(bv, value), cube, out);
+    cube.pop_back();
+  }
+}
+
+Cover reference_cover(const bdd::Bdd& f) {
+  Cover out;
+  Cube cube;
+  reference_cover_rec(f, cube, out);
+  return out;
+}
+
+/// The cover the bundle exports: the walk's cubes as evidence literals.
+Cover walked_cover(const bdd::Bdd& f) {
+  Cover out;
+  f.for_each_cube([&](const std::vector<bdd::CubeLiteral>& cube) {
+    Cube& c = out.emplace_back();
+    for (const bdd::CubeLiteral& l : cube) {
+      c.push_back(evidence::literal_of(l));
+    }
+    return true;
+  });
+  return out;
 }
 
 /// Explain `spec` on `system` and return the emitted bundle's basename-less
@@ -187,13 +231,13 @@ TEST(EvidenceBundle, CoverAgreesWithBddOnEveryAssignment) {
   const auto y = system.add_var("y");
   const bdd::Bdd f = (system.cur(x) & !system.next(y)) |
                      (system.next(x) ^ system.cur(y));
-  const evidence::Cover cover = evidence::cover_of(f);
+  const Cover cover = walked_cover(f);
   // 2 state vars -> 4 BDD variables -> 16 assignments.
   for (unsigned bits = 0; bits < 16; ++bits) {
     std::vector<bool> assignment(4);
     for (unsigned v = 0; v < 4; ++v) assignment[v] = (bits >> v) & 1u;
     bool cover_value = false;
-    for (const auto& cube : cover.cubes) {
+    for (const auto& cube : cover) {
       bool sat = true;
       for (const evidence::Literal& lit : cube) {
         if (assignment[2 * lit.var + lit.rail] != lit.value) {
@@ -215,13 +259,96 @@ TEST(EvidenceBundle, CoverConstantsAndCubeCap) {
   const auto a = system.add_var("a");
   const auto b = system.add_var("b");
   const auto c = system.add_var("c");
-  EXPECT_TRUE(evidence::cover_of(system.manager().zero()).cubes.empty());
-  ASSERT_EQ(evidence::cover_of(system.manager().one()).cubes.size(), 1u);
-  EXPECT_TRUE(evidence::cover_of(system.manager().one()).cubes[0].empty());
+  EXPECT_TRUE(walked_cover(system.manager().zero()).empty());
+  ASSERT_EQ(walked_cover(system.manager().one()).size(), 1u);
+  EXPECT_TRUE(walked_cover(system.manager().one())[0].empty());
   // Parity of three variables has four disjoint cubes.
   const bdd::Bdd parity = system.cur(a) ^ system.cur(b) ^ system.cur(c);
-  EXPECT_EQ(evidence::cover_of(parity).cubes.size(), 4u);
-  EXPECT_THROW((void)evidence::cover_of(parity, 3), std::length_error);
+  EXPECT_EQ(evidence::cover_size(parity), 4u);
+  EXPECT_THROW((void)evidence::cover_size(parity, 3), std::length_error);
+  // A cap the cover exactly meets is no overflow.
+  EXPECT_EQ(evidence::cover_size(parity, 4), 4u);
+}
+
+/// A random function over both rails of `system`'s variables: a
+/// disjunction of up to four random cubes.
+bdd::Bdd random_two_rail(ts::TransitionSystem& system, std::mt19937& rng) {
+  bdd::Bdd f = system.manager().zero();
+  const int terms = 1 + static_cast<int>(rng() % 4);
+  for (int t = 0; t < terms; ++t) {
+    bdd::Bdd cube = system.manager().one();
+    for (std::size_t v = 0; v < system.num_state_vars(); ++v) {
+      for (const bool next : {false, true}) {
+        const bdd::Bdd x = next ? system.next(v) : system.cur(v);
+        switch (rng() % 3) {
+          case 0:
+            cube &= x;
+            break;
+          case 1:
+            cube &= !x;
+            break;
+          default:
+            break;
+        }
+      }
+    }
+    f |= cube;
+  }
+  return f;
+}
+
+TEST(EvidenceBundle, CoverIsCanonicalUnderReordering) {
+  for (unsigned seed = 1; seed <= 12; ++seed) {
+    ts::TransitionSystem system;
+    for (const char* name : {"w", "x", "y", "z"}) system.add_var(name);
+    std::mt19937 rng(seed);
+    std::vector<bdd::Bdd> fs;
+    for (int i = 0; i < 6; ++i) fs.push_back(random_two_rail(system, rng));
+    fs.push_back(system.manager().one());
+    fs.push_back(system.manager().zero());
+    bdd::Manager& m = system.manager();
+    ASSERT_TRUE(m.identity_order());
+    std::vector<Cover> expected;
+    for (const bdd::Bdd& f : fs) {
+      expected.push_back(reference_cover(f));
+      EXPECT_EQ(walked_cover(f), expected.back()) << "seed " << seed;
+    }
+
+    // Move the pair block of w below the pair of x: order 2, 3, 0, 1, ...
+    m.reorder_session_begin();
+    for (const std::uint32_t lvl : {1u, 0u, 2u, 1u}) m.swap_levels(lvl);
+    m.reorder_session_end();
+    ASSERT_FALSE(m.identity_order());
+    for (std::size_t i = 0; i < fs.size(); ++i) {
+      EXPECT_EQ(reference_cover(fs[i]), expected[i]) << "seed " << seed;
+      EXPECT_EQ(walked_cover(fs[i]), expected[i]) << "seed " << seed;
+    }
+
+    (void)order::sift(m);
+    for (std::size_t i = 0; i < fs.size(); ++i) {
+      EXPECT_EQ(walked_cover(fs[i]), expected[i]) << "seed " << seed;
+      EXPECT_EQ(evidence::cover_size(fs[i]), expected[i].size());
+    }
+  }
+}
+
+TEST(EvidenceBundle, CoverWalkBuildsNoNodeUnderTheIdentityOrder) {
+  // SYMCEX_REORDER would sift the model away from the identity order.
+  const test::ScopedConfig scope([](config::Config& c) { c.reorder = false; });
+  auto system = models::dining_philosophers({.count = 4});
+  bdd::Manager& m = system->manager();
+  ASSERT_TRUE(m.identity_order());
+  const bdd::ManagerStats before = m.stats();
+  std::size_t cubes = 0;
+  for (const bdd::Bdd& part : system->trans_parts()) {
+    cubes += part.for_each_cube(
+        [](const std::vector<bdd::CubeLiteral>&) { return true; });
+  }
+  EXPECT_GT(cubes, 0u);
+  EXPECT_EQ(m.stats().unique_hits, before.unique_hits);
+  EXPECT_EQ(m.stats().unique_misses, before.unique_misses);
+  EXPECT_EQ(m.stats().apply(bdd::ApplyOp::kRestrictVar),
+            before.apply(bdd::ApplyOp::kRestrictVar));
 }
 
 TEST(EvidenceBundle, ClusterScheduleHashIsAModelFingerprint) {
@@ -355,6 +482,100 @@ TEST(EvidenceBundle, UnfulfilledDutyIsRejectedByName) {
   std::string output;
   EXPECT_NE(run_verify(dir, dir + "/unfulfilled.json", &output), 0);
   EXPECT_NE(output.find("FAIL duty:visits"), std::string::npos) << output;
+}
+
+/// A 3-bit counter's EF max witness whose predicate 0 is the label max,
+/// a cube of three current-rail literals.
+std::string counter_bundle_with_predicate() {
+  auto system = models::counter({.width = 3});
+  core::Checker checker(*system);
+  core::Explainer explainer(checker);
+  const core::Explanation result = explainer.explain("EF max");
+  evidence::BundleBuilder bundle(*system, "counter");
+  bundle.set_check("EF max", "true", "witness", result.note);
+  bundle.set_trace(*result.trace);
+  bundle.add_duty_visits(*system->label("max"), "reaches max");
+  return bundle.to_json();
+}
+
+/// Where the value of the first "cubes" member after `anchor` starts.
+std::size_t cubes_at(const std::string& json, const std::string& anchor) {
+  const std::size_t at = json.find(anchor);
+  EXPECT_NE(at, std::string::npos) << anchor;
+  const std::size_t cubes = json.find("\"cubes\": ", at);
+  EXPECT_NE(cubes, std::string::npos) << anchor;
+  return cubes + 9;
+}
+
+/// Replace the first literal of the first cube at `anchor`'s cover.
+std::string with_first_literal(std::string json, const std::string& anchor,
+                               const std::string& literal) {
+  const std::size_t at = cubes_at(json, anchor);
+  EXPECT_EQ(json.compare(at, 3, "[[["), 0) << json.substr(at, 40);
+  const std::size_t end = json.find(']', at);
+  json.replace(at + 2, end + 1 - (at + 2), literal);
+  return json;
+}
+
+TEST(EvidenceBundle, TamperedCoversAreRejectedByName) {
+  const std::string json = counter_bundle_with_predicate();
+  const std::string conjunct = "\"conjuncts\": [";
+  const std::string predicate = "\"predicates\": [";
+  // The counter's conjuncts read both rails, and its predicate 0 is max.
+  const std::size_t cubes = cubes_at(json, conjunct);
+  const std::size_t cubes_end = json.find("]]]", cubes) + 3;
+  struct Case {
+    std::string name;
+    std::string bundle;
+    std::string failure;
+  };
+  const std::vector<Case> cases{
+      {"var out of range", with_first_literal(json, conjunct, "[3, 0, 1]"),
+       "FAIL cover[conjunct 0]: conjunct 0.cubes[0]: variable index 3 out of "
+       "range (3 variables)"},
+      {"rail 1 in a predicate",
+       with_first_literal(json, predicate, "[0, 1, 1]"),
+       "FAIL cover[predicate 0]: predicate 0.cubes[0]: invalid rail 1"},
+      {"value 2", with_first_literal(json, conjunct, "[0, 0, 2]"),
+       "FAIL cover[conjunct 0]: conjunct 0.cubes[0]: expected a 0/1 bit"},
+      {"2-element literal", with_first_literal(json, predicate, "[0, 0]"),
+       "FAIL cover[predicate 0]: predicate 0.cubes[0]: literal is not a "
+       "[var, rail, value] triple"},
+      // A cover's type is part of the schema, as before the flat reader.
+      {"cubes not an array",
+       json.substr(0, cubes) + "7" + json.substr(cubes_end),
+       "FAIL schema: conjunct 0: member \"cubes\" has the wrong type"},
+  };
+  const std::string dir = fresh_dir();
+  std::filesystem::create_directories(dir);
+  std::string output;
+  write_file(dir + "/intact.json", json);
+  ASSERT_EQ(run_verify(dir, dir + "/intact.json", &output), 0) << output;
+  for (const Case& c : cases) {
+    write_file(dir + "/tampered.json", c.bundle);
+    const int status = run_verify(dir, dir + "/tampered.json", &output);
+    ASSERT_TRUE(WIFEXITED(status)) << c.name;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << c.name << ": " << output;
+    EXPECT_NE(output.find(c.failure), std::string::npos)
+        << c.name << ": " << output;
+  }
+}
+
+TEST(EvidenceBundle, TruncatedBundlesFailWithoutCrashing) {
+  const std::string json = counter_bundle_with_predicate();
+  const std::string dir = fresh_dir();
+  std::filesystem::create_directories(dir);
+  std::mt19937 rng(64);
+  std::string output;
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t cut = rng() % json.size();
+    write_file(dir + "/truncated.json", json.substr(0, cut));
+    const int status = run_verify(dir, dir + "/truncated.json", &output);
+    ASSERT_TRUE(WIFEXITED(status)) << "cut at " << cut << ": " << output;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << "cut at " << cut << ": " << output;
+    EXPECT_NE(output.find("FAIL json"), std::string::npos)
+        << "cut at " << cut << ": " << output;
+  }
 }
 
 TEST(EvidenceBundle, EmitIfConfiguredHonoursEnvironment) {

@@ -109,6 +109,64 @@ TEST(OrderSwap, SwapIsItsOwnInverse) {
   EXPECT_EQ(m.audit_check(), "");
 }
 
+TEST(OrderSwap, SwapThatGrowsTheUniqueTableKeepsItConsistent) {
+  // A swap takes the nodes it rewrites off their chains, then creates
+  // nodes; when one of those creations grows the unique table, the rehash
+  // must leave the pending nodes out.  Each f = ite(x, B, A) below, with
+  // A and B y-nodes kept alive, makes swapping x and y create two nodes;
+  // the table is filled until those creations must grow it.
+  bdd::ManagerOptions options;
+  options.disable_auto_gc = true;
+  bdd::Manager m(16, options);
+  m.clear_budget();  // SYMCEX_NODE_LIMIT would cap the fill below
+  const std::uint32_t x = 0;
+  const std::uint32_t y = 1;
+  const auto growth_at = [&] {  // four live nodes per bucket
+    return std::size_t{4} * (std::size_t{4096} << m.stats().table_growths);
+  };
+  // A distinct cube over variables 2..15 per number.
+  const auto cube_of = [&](std::uint32_t number) {
+    bdd::Bdd cube = m.one();
+    for (std::uint32_t bit = 0; bit < 14; ++bit) {
+      cube &= m.literal(2 + bit, ((number >> bit) & 1) != 0);
+    }
+    return cube;
+  };
+  std::vector<bdd::Bdd> keep;
+  std::vector<bdd::Bdd> funcs;
+  std::uint32_t number = 0;
+  while (m.stats().live_nodes + 2 * funcs.size() < growth_at() + 200) {
+    const bdd::Bdd a = m.ite(m.var(y), cube_of(number), cube_of(number + 1));
+    const bdd::Bdd b =
+        m.ite(m.var(y), cube_of(number + 2), cube_of(number + 3));
+    number += 4;
+    keep.push_back(a);
+    keep.push_back(b);
+    funcs.push_back(m.ite(m.var(x), b, a));
+  }
+  std::vector<std::vector<bool>> points;
+  for (std::uint32_t row = 0; row < 64; ++row) {
+    std::vector<bool> point(16);
+    for (std::uint32_t v = 0; v < 16; ++v) {
+      point[v] = (((row * 2654435761u) >> v) & 1) != 0;
+    }
+    points.push_back(point);
+  }
+  const auto evaluate = [&] {
+    std::vector<bool> values;
+    for (const bdd::Bdd& f : funcs) {
+      for (const auto& point : points) values.push_back(f.eval(point));
+    }
+    return values;
+  };
+  const std::vector<bool> before = evaluate();
+  const std::size_t growths = m.stats().table_growths;
+  m.swap_levels(0);
+  ASSERT_GT(m.stats().table_growths, growths);
+  EXPECT_EQ(m.audit_check(), "");
+  EXPECT_EQ(evaluate(), before);
+}
+
 TEST(OrderSift, NoOpOnOptimalOrder) {
   bdd::Manager m(8);
   // Totally symmetric function: every order yields the same size, so with

@@ -371,6 +371,23 @@ TEST(WitnessWalkRings, CertifiedWalkChecksTheChainOncePerWalk) {
   EXPECT_LT(nots, 4u * 1024u) << nots << " NOTs for a 1024-ring chain";
 }
 
+TEST(WitnessWalkRings, RingChainCheckBuildsNoNode) {
+  // A walk that starts in ring 0 takes no step: all it does is check the
+  // chain (one implies per link) and find the ring (intersects).  Neither
+  // may build a node, so the manager's unique table sees no miss.
+  const test::ScopedConfig scope(test::certify_on);
+  auto m = models::counter({.width = 8});
+  Checker ck(*m);
+  const auto rings = ck.eu_rings(m->manager().one(), *m->label("max"));
+  ASSERT_GT(rings.size(), 200u);
+  WitnessGenerator wg(ck);
+  const bdd::Bdd start = m->pick_state(rings[0]);
+  const std::size_t misses = m->manager().stats().unique_misses;
+  const std::vector<bdd::Bdd> path = wg.walk_rings(rings, start);
+  EXPECT_EQ(path.size(), 1u);
+  EXPECT_EQ(m->manager().stats().unique_misses, misses);
+}
+
 // ---------------------------------------------------------------------------
 // Property: on random fair systems, every generated EG witness validates,
 // stays within f, and its cycle visits every fairness constraint.

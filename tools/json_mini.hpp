@@ -7,21 +7,40 @@
 // grammar of RFC 8259 -- one top-level value, no trailing content, no
 // trailing commas, no comments, no bare inf/nan tokens -- and throws
 // std::runtime_error with a byte offset on the first deviation.
+//
+// A caller may read the value of one object member itself (MemberReader):
+// symcex-verify reads each cover's "cubes" array straight into a flat
+// literal buffer instead of a Value tree, through the Parser primitives
+// below, so the document is still checked in full against the grammar.
 
 #pragma once
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 namespace symcex::jsonmini {
 
 struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  /// kCaptured: a member value a MemberReader consumed; `number` holds
+  /// whatever handle the reader stored there.
+  enum class Kind {
+    kNull,
+    kBool,
+    kNumber,
+    kString,
+    kArray,
+    kObject,
+    kCaptured
+  };
 
   Kind kind = Kind::kNull;
   bool boolean = false;
@@ -47,11 +66,20 @@ struct Value {
   }
 };
 
-namespace detail {
+class Parser;
+
+/// Reads the value of every object member named `key` in place of the
+/// parser: `read` must consume exactly one JSON value through the Parser's
+/// public primitives, and its result is stored as the member's value.
+struct MemberReader {
+  std::string_view key;
+  std::function<Value(Parser&)> read;
+};
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Parser(std::string_view text, const MemberReader* reader = nullptr)
+      : text_(text), reader_(reader) {}
 
   Value parse_document() {
     Value v = parse_value();
@@ -60,10 +88,161 @@ class Parser {
     return v;
   }
 
- private:
+  // -- primitives for a MemberReader ------------------------------------------
+
   [[noreturn]] void fail(const std::string& what) const {
     throw std::runtime_error("json: " + what + " at byte " +
                              std::to_string(pos_));
+  }
+
+  /// The next non-whitespace character (end of input fails).
+  char next() {
+    skip_ws();
+    return peek();
+  }
+
+  /// Parse one value of any kind into a tree.
+  Value parse_value() {
+    // Nesting is recursion: without a cap, a pathological "[[[[..." input
+    // turns the parser's stack into the attack surface.  256 levels is
+    // far beyond any bundle the emitters produce.
+    if (depth_ >= kMaxDepth) fail("nesting too deep");
+    switch (next()) {
+      case '{':
+        return parse_object();
+      case '[': {
+        Value v;
+        v.kind = Value::Kind::kArray;
+        for_each_element([&] { v.array.push_back(parse_value()); });
+        return v;
+      }
+      case '"': {
+        Value v;
+        v.kind = Value::Kind::kString;
+        v.string = parse_string();
+        return v;
+      }
+      case 't': {
+        if (!consume_literal("true")) fail("invalid literal");
+        Value v;
+        v.kind = Value::Kind::kBool;
+        v.boolean = true;
+        return v;
+      }
+      case 'f': {
+        if (!consume_literal("false")) fail("invalid literal");
+        Value v;
+        v.kind = Value::Kind::kBool;
+        v.boolean = false;
+        return v;
+      }
+      case 'n': {
+        if (!consume_literal("null")) fail("invalid literal");
+        return Value{};
+      }
+      default: {
+        Value v;
+        v.kind = Value::Kind::kNumber;
+        v.number = parse_number();
+        return v;
+      }
+    }
+  }
+
+  /// Parse an array, calling `element()` once per element with the parser
+  /// positioned at it; `element` must consume exactly that element.
+  template <typename F>
+  void for_each_element(F&& element) {
+    if (depth_ >= kMaxDepth) fail("nesting too deep");
+    skip_ws();
+    expect('[');
+    ++depth_;
+    if (next() == ']') {
+      ++pos_;
+      --depth_;
+      return;
+    }
+    while (true) {
+      element();
+      const char c = next();
+      if (c == ',') {
+        ++pos_;
+        continue;
+      }
+      if (c == ']') {
+        ++pos_;
+        --depth_;
+        return;
+      }
+      fail("expected ',' or ']' in array");
+    }
+  }
+
+  /// Does a number token start at the next non-whitespace character?
+  bool at_number() {
+    const char c = next();
+    return c == '-' || (c >= '0' && c <= '9');
+  }
+
+  /// Parse one number token (RFC 8259 grammar) to the nearest double.
+  double parse_number() {
+    if (depth_ >= kMaxDepth) fail("nesting too deep");
+    skip_ws();
+    const std::size_t start = pos_;
+    bool integral = true;
+    if (peek() == '-') {
+      ++pos_;
+      integral = false;
+    }
+    // Integer part: one digit, or a nonzero digit followed by digits
+    // (leading zeros are not JSON).
+    if (pos_ >= text_.size() || !is_digit(text_[pos_])) fail("invalid number");
+    if (text_[pos_] == '0') {
+      ++pos_;
+    } else {
+      skip_digits();
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      integral = false;
+      if (pos_ >= text_.size() || !is_digit(text_[pos_])) {
+        fail("digit required after decimal point");
+      }
+      skip_digits();
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      integral = false;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      if (pos_ >= text_.size() || !is_digit(text_[pos_])) {
+        fail("digit required in exponent");
+      }
+      skip_digits();
+    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    // Short digit runs (every index and bit in a bundle) convert exactly
+    // through an integer; everything else rounds as strtod would.
+    if (integral && last - first <= 15) {
+      std::uint64_t u = 0;
+      std::from_chars(first, last, u);
+      return static_cast<double>(u);
+    }
+    double d = 0.0;
+    if (std::from_chars(first, last, d).ec == std::errc::result_out_of_range) {
+      // Overflow and underflow saturate exactly as strtod's do.
+      d = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    return d;
+  }
+
+ private:
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  void skip_digits() {
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
   }
 
   void skip_ws() {
@@ -93,62 +272,15 @@ class Parser {
     return true;
   }
 
-  Value parse_value() {
-    // Nesting is recursion: without a cap, a pathological "[[[[..." input
-    // turns the parser's stack into the attack surface.  256 levels is
-    // far beyond any bundle the emitters produce.
-    if (depth_ >= kMaxDepth) fail("nesting too deep");
-    ++depth_;
-    const Value v = parse_value_inner();
-    --depth_;
-    return v;
-  }
-
-  Value parse_value_inner() {
-    skip_ws();
-    switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"': {
-        Value v;
-        v.kind = Value::Kind::kString;
-        v.string = parse_string();
-        return v;
-      }
-      case 't': {
-        if (!consume_literal("true")) fail("invalid literal");
-        Value v;
-        v.kind = Value::Kind::kBool;
-        v.boolean = true;
-        return v;
-      }
-      case 'f': {
-        if (!consume_literal("false")) fail("invalid literal");
-        Value v;
-        v.kind = Value::Kind::kBool;
-        v.boolean = false;
-        return v;
-      }
-      case 'n': {
-        if (!consume_literal("null")) fail("invalid literal");
-        return Value{};
-      }
-      default:
-        return parse_number();
-    }
-  }
-
   Value parse_object() {
     expect('{');
     Value v;
     v.kind = Value::Kind::kObject;
-    skip_ws();
-    if (peek() == '}') {
+    if (next() == '}') {
       ++pos_;
       return v;
     }
+    ++depth_;
     while (true) {
       skip_ws();
       std::string key = parse_string();
@@ -158,43 +290,21 @@ class Parser {
       }
       skip_ws();
       expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      const char c = peek();
+      const bool read_here = reader_ != nullptr && key == reader_->key;
+      if (read_here && depth_ >= kMaxDepth) fail("nesting too deep");
+      Value member = read_here ? reader_->read(*this) : parse_value();
+      v.object.emplace_back(std::move(key), std::move(member));
+      const char c = next();
       if (c == ',') {
         ++pos_;
         continue;
       }
       if (c == '}') {
         ++pos_;
+        --depth_;
         return v;
       }
       fail("expected ',' or '}' in object");
-    }
-  }
-
-  Value parse_array() {
-    expect('[');
-    Value v;
-    v.kind = Value::Kind::kArray;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == ']') {
-        ++pos_;
-        return v;
-      }
-      fail("expected ',' or ']' in array");
     }
   }
 
@@ -298,67 +408,23 @@ class Parser {
     }
   }
 
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    // Integer part: one digit, or a nonzero digit followed by digits
-    // (leading zeros are not JSON).
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(
-                                    text_[pos_]))) {
-      fail("invalid number");
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(
-                                      text_[pos_]))) {
-        fail("digit required after decimal point");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(
-                                      text_[pos_]))) {
-        fail("digit required in exponent");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    v.number = std::strtod(token.c_str(), nullptr);
-    return v;
-  }
-
   static constexpr std::size_t kMaxDepth = 256;
 
   std::string_view text_;
+  const MemberReader* reader_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;
 };
 
-}  // namespace detail
-
 /// Parse one strict JSON document; throws std::runtime_error on deviation.
 [[nodiscard]] inline Value parse(std::string_view text) {
-  return detail::Parser(text).parse_document();
+  return Parser(text).parse_document();
+}
+
+/// parse(), with every member named reader.key read by `reader`.
+[[nodiscard]] inline Value parse(std::string_view text,
+                                 const MemberReader& reader) {
+  return Parser(text, &reader).parse_document();
 }
 
 }  // namespace symcex::jsonmini

@@ -25,11 +25,11 @@
 // FAIL <name>: <detail>"); 2 on a usage error or an unreadable input
 // file.  Verification failure takes precedence over I/O failure.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,9 +59,13 @@ const Value& require_member(const Value& obj, const std::string& key,
   return *v;
 }
 
+/// Is `x` a non-negative integer that fits 64 bits?
+bool is_index(double x) {
+  return x >= 0 && x < 0x1p64 && x == std::floor(x);
+}
+
 std::size_t as_index(const Value& v, const std::string& where) {
-  if (!v.is_number() || v.number < 0 ||
-      v.number != static_cast<double>(static_cast<std::uint64_t>(v.number))) {
+  if (!v.is_number() || !is_index(v.number)) {
     fail("schema", where + ": expected a non-negative integer");
   }
   return static_cast<std::size_t>(v.number);
@@ -75,48 +79,155 @@ bool as_bit(const Value& v, const std::string& check,
   return v.number == 1.0;
 }
 
-struct Literal {
-  std::size_t var = 0;
-  std::size_t rail = 0;
-  bool value = false;
+/// One cover, read straight from its "cubes" array into one flat literal
+/// buffer: cube c is lits[ends[c - 1], ends[c]).  Nothing is checked
+/// against the bundle while reading -- the variable count may come later
+/// in the document -- so the first shape defect is recorded instead of
+/// thrown, and check_cover reports it in the verifier's own check order.
+struct Cover {
+  struct Lit {
+    std::uint32_t var = 0;
+    std::uint8_t rail = 0;
+    bool value = false;
+  };
+  enum class Defect {
+    kNone,
+    kCubeNotArray,  ///< a cube is not an array
+    kNotTriple,     ///< a literal is not a 3-element array
+    kNotIndex,      ///< var or rail is not a non-negative integer
+    kNotBit,        ///< value is not 0 or 1
+    kRange,         ///< var >= 2^32 or rail > 1: stored in big_var / big_rail
+  };
+
+  std::vector<Lit> lits;
+  std::vector<std::size_t> ends;
+  // Literals are stored up to the first defect, which sits in cube
+  // `defect_cube`; the rest of the array is only parsed.
+  Defect defect = Defect::kNone;
+  std::size_t defect_cube = 0;
+  std::uint64_t big_var = 0;
+  std::uint64_t big_rail = 0;
 };
 
-using Cube = std::vector<Literal>;
-using Cover = std::vector<Cube>;
-
-Cover parse_cover(const Value& v, std::size_t num_vars, bool allow_next_rail,
-                  const std::string& where) {
-  const Value& cubes = require_member(v, "cubes", Value::Kind::kArray, where);
+/// The MemberReader for "cubes": covers[k] is the k-th array read, and the
+/// member's Value is kCaptured with number = k.  A "cubes" value that is
+/// not an array is parsed as usual, for the schema check to reject.
+symcex::jsonmini::Value read_cubes(symcex::jsonmini::Parser& p,
+                                   std::vector<Cover>& covers) {
+  if (p.next() != '[') return p.parse_value();
   Cover cover;
-  cover.reserve(cubes.array.size());
-  for (std::size_t c = 0; c < cubes.array.size(); ++c) {
-    const Value& cube = cubes.array[c];
-    const std::string cube_where = where + ".cubes[" + std::to_string(c) + "]";
-    if (!cube.is_array()) fail("cover[" + where + "]", cube_where + ": not an array");
-    Cube out;
-    out.reserve(cube.array.size());
-    for (const Value& lit : cube.array) {
-      if (!lit.is_array() || lit.array.size() != 3) {
-        fail("cover[" + where + "]",
-             cube_where + ": literal is not a [var, rail, value] triple");
-      }
-      Literal l;
-      l.var = as_index(lit.array[0], cube_where);
-      l.rail = as_index(lit.array[1], cube_where);
-      l.value = as_bit(lit.array[2], "cover[" + where + "]", cube_where);
-      if (l.var >= num_vars) {
-        fail("cover[" + where + "]",
-             cube_where + ": variable index " + std::to_string(l.var) +
-                 " out of range (" + std::to_string(num_vars) +
-                 " variables)");
-      }
-      if (l.rail > 1 || (l.rail == 1 && !allow_next_rail)) {
-        fail("cover[" + where + "]",
-             cube_where + ": invalid rail " + std::to_string(l.rail));
-      }
-      out.push_back(l);
+  const auto flag = [&](Cover::Defect d) {
+    cover.defect = d;
+    cover.defect_cube = cover.ends.size();
+  };
+  p.for_each_element([&] {
+    if (cover.defect != Cover::Defect::kNone) {
+      (void)p.parse_value();
+      return;
     }
-    cover.push_back(std::move(out));
+    if (p.next() != '[') {
+      (void)p.parse_value();
+      flag(Cover::Defect::kCubeNotArray);
+    } else {
+      p.for_each_element([&] {
+        if (cover.defect != Cover::Defect::kNone || p.next() != '[') {
+          (void)p.parse_value();
+          if (cover.defect == Cover::Defect::kNone) {
+            flag(Cover::Defect::kNotTriple);
+          }
+          return;
+        }
+        double field[3] = {-1, -1, -1};  // -1: not a number
+        std::size_t n = 0;
+        p.for_each_element([&] {
+          if (n < 3 && p.at_number()) {
+            field[n] = p.parse_number();
+          } else {
+            (void)p.parse_value();
+          }
+          ++n;
+        });
+        if (n != 3) {
+          flag(Cover::Defect::kNotTriple);
+        } else if (!is_index(field[0]) || !is_index(field[1])) {
+          flag(Cover::Defect::kNotIndex);
+        } else if (field[2] != 0.0 && field[2] != 1.0) {
+          flag(Cover::Defect::kNotBit);
+        } else if (field[0] > 4294967295.0 || field[1] > 1.0) {
+          flag(Cover::Defect::kRange);
+          cover.big_var = static_cast<std::uint64_t>(field[0]);
+          cover.big_rail = static_cast<std::uint64_t>(field[1]);
+        } else {
+          cover.lits.push_back({static_cast<std::uint32_t>(field[0]),
+                                static_cast<std::uint8_t>(field[1]),
+                                field[2] == 1.0});
+        }
+      });
+    }
+    if (cover.defect == Cover::Defect::kNone ||
+        cover.defect_cube == cover.ends.size()) {
+      cover.ends.push_back(cover.lits.size());
+    }
+  });
+  symcex::jsonmini::Value v;
+  v.kind = Value::Kind::kCaptured;
+  v.number = static_cast<double>(covers.size());
+  covers.push_back(std::move(cover));
+  return v;
+}
+
+/// Check the cover of a conjunct or predicate object against the bundle
+/// and return it.  Failures name "cover[<where>]", except a missing or
+/// non-array "cubes" and a non-integer index, which fail "schema".
+const Cover& check_cover(const Value& v, const std::vector<Cover>& covers,
+                         std::size_t num_vars, bool allow_next_rail,
+                         const std::string& where) {
+  const Value* cubes = v.find("cubes");
+  if (cubes == nullptr) {
+    fail("schema", where + ": missing member \"cubes\"");
+  }
+  if (cubes->kind != Value::Kind::kCaptured) {
+    fail("schema", where + ": member \"cubes\" has the wrong type");
+  }
+  const Cover& cover = covers[static_cast<std::size_t>(cubes->number)];
+  const auto cube_where = [&](std::size_t c) {
+    return where + ".cubes[" + std::to_string(c) + "]";
+  };
+  const auto range_fail = [&](std::size_t c, std::uint64_t var,
+                              std::uint64_t rail) {
+    if (var >= num_vars) {
+      fail("cover[" + where + "]",
+           cube_where(c) + ": variable index " + std::to_string(var) +
+               " out of range (" + std::to_string(num_vars) + " variables)");
+    }
+    if (rail > 1 || (rail == 1 && !allow_next_rail)) {
+      fail("cover[" + where + "]",
+           cube_where(c) + ": invalid rail " + std::to_string(rail));
+    }
+  };
+  std::size_t begin = 0;
+  for (std::size_t c = 0; c < cover.ends.size(); ++c) {
+    for (std::size_t i = begin; i < cover.ends[c]; ++i) {
+      range_fail(c, cover.lits[i].var, cover.lits[i].rail);
+    }
+    begin = cover.ends[c];
+  }
+  const std::size_t c = cover.defect_cube;
+  switch (cover.defect) {
+    case Cover::Defect::kNone:
+      break;
+    case Cover::Defect::kCubeNotArray:
+      fail("cover[" + where + "]", cube_where(c) + ": not an array");
+    case Cover::Defect::kNotTriple:
+      fail("cover[" + where + "]",
+           cube_where(c) + ": literal is not a [var, rail, value] triple");
+    case Cover::Defect::kNotIndex:
+      fail("schema", cube_where(c) + ": expected a non-negative integer");
+    case Cover::Defect::kNotBit:
+      fail("cover[" + where + "]", cube_where(c) + ": expected a 0/1 bit");
+    case Cover::Defect::kRange:
+      range_fail(c, cover.big_var, cover.big_rail);
+      break;
   }
   return cover;
 }
@@ -125,16 +236,15 @@ Cover parse_cover(const Value& v, std::size_t num_vars, bool allow_next_rail,
 /// null for current-rail-only covers (predicates).
 bool eval_cover(const Cover& cover, const std::vector<bool>& cur,
                 const std::vector<bool>* next) {
-  for (const Cube& cube : cover) {
+  std::size_t begin = 0;
+  for (const std::size_t end : cover.ends) {
     bool sat = true;
-    for (const Literal& l : cube) {
-      const bool bit = l.rail == 0 ? cur[l.var] : (*next)[l.var];
-      if (bit != l.value) {
-        sat = false;
-        break;
-      }
+    for (std::size_t i = begin; i < end && sat; ++i) {
+      const Cover::Lit& l = cover.lits[i];
+      sat = (l.rail == 0 ? cur[l.var] : (*next)[l.var]) == l.value;
     }
     if (sat) return true;
+    begin = end;
   }
   return false;
 }
@@ -180,7 +290,7 @@ struct Summary {
   std::size_t certificates = 0;
 };
 
-Summary verify_bundle(const Value& root) {
+Summary verify_bundle(const Value& root, const std::vector<Cover>& covers) {
   // -- schema -----------------------------------------------------------------
   if (!root.is_object()) fail("schema", "top level is not an object");
   const Value& version = require_member(root, "symcex_evidence_version",
@@ -267,28 +377,29 @@ Summary verify_bundle(const Value& root) {
   const Value& conjuncts_json =
       require_member(relation, "conjuncts", Value::Kind::kArray,
                      "transition_relation");
-  std::vector<Cover> conjuncts;
+  std::vector<const Cover*> conjuncts;
   conjuncts.reserve(conjuncts_json.array.size());
   for (std::size_t i = 0; i < conjuncts_json.array.size(); ++i) {
-    conjuncts.push_back(parse_cover(conjuncts_json.array[i], num_vars, true,
-                                    "conjunct " + std::to_string(i)));
+    conjuncts.push_back(&check_cover(conjuncts_json.array[i], covers,
+                                     num_vars, true,
+                                     "conjunct " + std::to_string(i)));
   }
 
   const Value& predicates_json =
       require_member(root, "predicates", Value::Kind::kArray, "bundle");
-  std::vector<Cover> predicates;
+  std::vector<const Cover*> predicates;
   predicates.reserve(predicates_json.array.size());
   for (std::size_t i = 0; i < predicates_json.array.size(); ++i) {
-    predicates.push_back(parse_cover(predicates_json.array[i], num_vars,
-                                     false,
-                                     "predicate " + std::to_string(i)));
+    predicates.push_back(&check_cover(predicates_json.array[i], covers,
+                                      num_vars, false,
+                                      "predicate " + std::to_string(i)));
   }
 
   // -- transitions ------------------------------------------------------------
   const auto check_edge = [&](std::size_t from, std::size_t to,
                               const std::string& check_name) {
     for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-      if (!eval_cover(conjuncts[c], states[from], &states[to])) {
+      if (!eval_cover(*conjuncts[c], states[from], &states[to])) {
         fail(check_name, "step " + std::to_string(from) + " -> " +
                              std::to_string(to) +
                              " violates transition conjunct " +
@@ -316,7 +427,7 @@ Summary verify_bundle(const Value& root) {
       fail("schema", where + ": predicate index " + std::to_string(index) +
                          " out of range");
     }
-    return predicates[index];
+    return *predicates[index];
   };
   const auto satisfies = [&](std::size_t state, const Cover& predicate) {
     return eval_cover(predicate, states[state], nullptr);
@@ -459,11 +570,26 @@ int verify_file(const std::string& path) {
     std::cerr << "symcex-verify: cannot read " << path << "\n";
     return kExitUsageOrIo;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  std::string text;
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (size > 0) {
+    text.resize(static_cast<std::size_t>(size));
+    in.read(text.data(), size);
+  }
+  if (!in) {
+    std::cerr << "symcex-verify: cannot read " << path << "\n";
+    return kExitUsageOrIo;
+  }
   try {
-    const Value root = symcex::jsonmini::parse(buffer.str());
-    const Summary s = verify_bundle(root);
+    std::vector<Cover> covers;
+    const symcex::jsonmini::MemberReader cubes_reader{
+        "cubes", [&](symcex::jsonmini::Parser& p) {
+          return read_cubes(p, covers);
+        }};
+    const Value root = symcex::jsonmini::parse(text, cubes_reader);
+    const Summary s = verify_bundle(root, covers);
     std::cout << "OK " << path << ": " << s.verdict << " (" << s.kind << "), "
               << s.steps << " steps, " << s.conjuncts << " conjuncts, "
               << s.duties << " duties, " << s.certificates
