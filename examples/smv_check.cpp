@@ -147,12 +147,9 @@ int run_resume(const std::string& snapshot_path, bool shorten_traces) {
     print_raw_trace(system, trace);
   }
   if (bundles_configured()) {
-    const core::Explanation explanation{
-        outcome.verdict == core::Verdict::kTrue, outcome.trace,
-        outcome.reason, {}, {}};
     try {
-      const evidence::BundleBuilder bundle = evidence::from_explanation(
-          system, resumed.model_name, resumed.formula, explanation);
+      const evidence::BundleBuilder bundle = evidence::from_outcome(
+          system, resumed.model_name, resumed.formula, outcome);
       if (evidence::emit_if_configured(
               bundle, "",
               evidence::sanitize_basename("resumed_" + resumed.formula))) {

@@ -160,9 +160,10 @@ class ProductCtx {
   bdd::Bdd sym_valid_;
 };
 
-// ---- acceptance compilers (system side: phi; spec side: !phi) -------------
+// ---- acceptance compilers (system side: phi; spec side: !phi), overloaded on
+// the acceptance type so one template serves every automaton pairing --------
 
-Dnf streett_phi(ProductCtx& ctx, const std::vector<StreettPair>& pairs) {
+Dnf phi(ProductCtx& ctx, const std::vector<StreettPair>& pairs) {
   std::vector<ctlstar::Conjunct> conjuncts;
   for (const auto& pr : pairs) {
     // FG U | GF V
@@ -172,7 +173,7 @@ Dnf streett_phi(ProductCtx& ctx, const std::vector<StreettPair>& pairs) {
   return Dnf{std::move(conjuncts)};
 }
 
-Dnf streett_neg_phi(ProductCtx& ctx, const std::vector<StreettPair>& pairs) {
+Dnf neg_phi(ProductCtx& ctx, const std::vector<StreettPair>& pairs) {
   Dnf out;
   for (const auto& pr : pairs) {
     // GF !U & FG !V
@@ -183,7 +184,7 @@ Dnf streett_neg_phi(ProductCtx& ctx, const std::vector<StreettPair>& pairs) {
   return out;
 }
 
-Dnf rabin_phi(ProductCtx& ctx, const std::vector<RabinPair>& pairs) {
+Dnf phi(ProductCtx& ctx, const std::vector<RabinPair>& pairs) {
   Dnf out;
   for (const auto& pr : pairs) {
     // FG !E & GF F
@@ -193,7 +194,7 @@ Dnf rabin_phi(ProductCtx& ctx, const std::vector<RabinPair>& pairs) {
   return out;
 }
 
-Dnf rabin_neg_phi(ProductCtx& ctx, const std::vector<RabinPair>& pairs) {
+Dnf neg_phi(ProductCtx& ctx, const std::vector<RabinPair>& pairs) {
   std::vector<ctlstar::Conjunct> conjuncts;
   for (const auto& pr : pairs) {
     // GF E | FG !F
@@ -203,8 +204,7 @@ Dnf rabin_neg_phi(ProductCtx& ctx, const std::vector<RabinPair>& pairs) {
   return Dnf{std::move(conjuncts)};
 }
 
-Dnf muller_phi(ProductCtx& ctx,
-               const std::vector<std::vector<AState>>& table) {
+Dnf phi(ProductCtx& ctx, const std::vector<std::vector<AState>>& table) {
   Dnf out;
   for (const auto& m : table) {
     // FG in(M) & AND_{s in M} GF s
@@ -218,8 +218,8 @@ Dnf muller_phi(ProductCtx& ctx,
   return out;
 }
 
-Dnf muller_neg_phi(ProductCtx& ctx,
-                   const std::vector<std::vector<AState>>& table) {
+Dnf neg_phi(ProductCtx& ctx,
+            const std::vector<std::vector<AState>>& table) {
   // AND_M ( GF !in(M)  |  OR_{s in M} FG !s ): expand to DNF.
   Dnf out{{}};  // true
   for (const auto& m : table) {
@@ -296,96 +296,62 @@ void require_spec(const TransitionStructure& spec, const char* what) {
   }
 }
 
-}  // namespace
+const char* kind_name(const StreettAutomaton&) { return "Streett"; }
+const char* kind_name(const RabinAutomaton&) { return "Rabin"; }
+const char* kind_name(const MullerAutomaton&) { return "Muller"; }
 
-ContainmentResult check_containment(const StreettAutomaton& sys,
-                                    const StreettAutomaton& spec,
-                                    const core::WitnessOptions& options) {
-  require_spec(spec, "Streett");
+/// The one containment body: L(sys) is contained in L(spec) iff no fair
+/// path of the product satisfies phi(sys) & !phi(spec).
+template <typename Sys, typename Spec>
+ContainmentResult contain(const Sys& sys, const Spec& spec,
+                          const core::WitnessOptions& options) {
+  require_spec(spec, kind_name(spec));
   return guarded_containment([&] {
     ProductCtx ctx(sys, spec);
     ContainmentResult out = ctx.check(
-        cross(streett_phi(ctx, sys.acceptance),
-              streett_neg_phi(ctx, spec.acceptance)),
+        cross(phi(ctx, sys.acceptance), neg_phi(ctx, spec.acceptance)),
         options);
     certify_result(out, sys, spec);
     return out;
   });
 }
 
+}  // namespace
+
+ContainmentResult check_containment(const StreettAutomaton& sys,
+                                    const StreettAutomaton& spec,
+                                    const core::WitnessOptions& options) {
+  return contain(sys, spec, options);
+}
+
 ContainmentResult check_containment(const StreettAutomaton& sys,
                                     const RabinAutomaton& spec,
                                     const core::WitnessOptions& options) {
-  require_spec(spec, "Rabin");
-  return guarded_containment([&] {
-    ProductCtx ctx(sys, spec);
-    ContainmentResult out =
-        ctx.check(cross(streett_phi(ctx, sys.acceptance),
-                        rabin_neg_phi(ctx, spec.acceptance)),
-                  options);
-    certify_result(out, sys, spec);
-    return out;
-  });
+  return contain(sys, spec, options);
 }
 
 ContainmentResult check_containment(const RabinAutomaton& sys,
                                     const StreettAutomaton& spec,
                                     const core::WitnessOptions& options) {
-  require_spec(spec, "Streett");
-  return guarded_containment([&] {
-    ProductCtx ctx(sys, spec);
-    ContainmentResult out =
-        ctx.check(cross(rabin_phi(ctx, sys.acceptance),
-                        streett_neg_phi(ctx, spec.acceptance)),
-                  options);
-    certify_result(out, sys, spec);
-    return out;
-  });
+  return contain(sys, spec, options);
 }
 
 ContainmentResult check_containment(const RabinAutomaton& sys,
                                     const RabinAutomaton& spec,
                                     const core::WitnessOptions& options) {
-  require_spec(spec, "Rabin");
-  return guarded_containment([&] {
-    ProductCtx ctx(sys, spec);
-    ContainmentResult out =
-        ctx.check(cross(rabin_phi(ctx, sys.acceptance),
-                        rabin_neg_phi(ctx, spec.acceptance)),
-                  options);
-    certify_result(out, sys, spec);
-    return out;
-  });
+  return contain(sys, spec, options);
 }
 
 ContainmentResult check_containment(const StreettAutomaton& sys,
                                     const MullerAutomaton& spec,
                                     const core::WitnessOptions& options) {
-  require_spec(spec, "Muller");
-  return guarded_containment([&] {
-    ProductCtx ctx(sys, spec);
-    ContainmentResult out =
-        ctx.check(cross(streett_phi(ctx, sys.acceptance),
-                        muller_neg_phi(ctx, spec.acceptance)),
-                  options);
-    certify_result(out, sys, spec);
-    return out;
-  });
+  return contain(sys, spec, options);
 }
 
 ContainmentResult check_containment(const MullerAutomaton& sys,
                                     const StreettAutomaton& spec,
                                     const core::WitnessOptions& options) {
-  require_spec(spec, "Streett");
-  return guarded_containment([&] {
-    ProductCtx ctx(sys, spec);
-    ContainmentResult out =
-        ctx.check(cross(muller_phi(ctx, sys.acceptance),
-                        streett_neg_phi(ctx, spec.acceptance)),
-                  options);
-    certify_result(out, sys, spec);
-    return out;
-  });
+  return contain(sys, spec, options);
 }
 
 }  // namespace symcex::automata

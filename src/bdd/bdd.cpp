@@ -365,32 +365,6 @@ bool Bdd::eval(const std::vector<bool>& assignment) const {
   return n == Manager::kTrue;
 }
 
-std::string Bdd::cube_string(const std::vector<std::string>& names) const {
-  if (mgr_ == nullptr) return "<null>";
-  if (is_true()) return "true";
-  if (is_false()) return "false";
-  std::string out;
-  std::uint32_t n = idx_;
-  while (mgr_->level(n) != Manager::kTermVar) {
-    const auto& nd = mgr_->nodes_[n];
-    const bool positive = nd.lo == Manager::kFalse;
-    const bool negative = nd.hi == Manager::kFalse;
-    if (!positive && !negative) {
-      throw std::invalid_argument("Bdd::cube_string: not a cube");
-    }
-    if (!out.empty()) out += " & ";
-    if (negative) out += '!';
-    if (nd.var < names.size() && !names[nd.var].empty()) {
-      out += names[nd.var];
-    } else {
-      out += 'v';
-      out += std::to_string(nd.var);
-    }
-    n = positive ? nd.hi : nd.lo;
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Manager: construction and node plumbing
 // ---------------------------------------------------------------------------
@@ -752,13 +726,6 @@ std::uint32_t Manager::level_of_var(std::uint32_t v) const {
     throw std::invalid_argument("Manager::level_of_var: unknown var");
   }
   return var2level_[v];
-}
-
-std::uint32_t Manager::var_at_level(std::uint32_t lvl) const {
-  if (lvl >= num_vars_) {
-    throw std::invalid_argument("Manager::var_at_level: level out of range");
-  }
-  return level2var_[lvl];
 }
 
 void Manager::group_vars(const std::vector<std::uint32_t>& vars) {
@@ -2196,74 +2163,6 @@ std::vector<bool> Manager::pick_one_assignment(
         "pick_one_assignment: vars does not cover the support");
   }
   return values;
-}
-
-void Manager::for_each_assignment(
-    const Bdd& f, const std::vector<std::uint32_t>& vars,
-    const std::function<void(const std::vector<bool>&)>& visit) {
-  check_mine(f, "for_each_assignment");
-  for (std::size_t i = 1; i < vars.size(); ++i) {
-    if (vars[i - 1] >= vars[i]) {
-      throw std::invalid_argument("for_each_assignment: vars not ascending");
-    }
-  }
-  if (f.is_false()) return;
-  // The walk must follow the BDD's LEVEL order, but the enumeration is
-  // promised in lexicographic order of `vars` (by variable INDEX), which a
-  // reorder must not change.  So: visit `vars` sorted by current level,
-  // collect the rows, sort them, then emit.  Under the identity order the
-  // rows are generated lexicographically already and the sort is a no-op.
-  const std::size_t k = vars.size();
-  // Variables outside the manager (tolerated, as before: f cannot branch
-  // on them) sort below every real level.
-  const auto lvl_of_var = [&](std::uint32_t v) {
-    return v < num_vars_ ? var2level_[v] : kTermVar;
-  };
-  std::vector<std::size_t> pos(k);  // visit order: positions by level
-  for (std::size_t i = 0; i < k; ++i) pos[i] = i;
-  std::sort(pos.begin(), pos.end(), [&](std::size_t a, std::size_t b) {
-    return lvl_of_var(vars[a]) < lvl_of_var(vars[b]);
-  });
-  std::vector<std::vector<bool>> rows;
-  std::vector<bool> values(k, false);
-  // Depth = position in the level-sorted visit order; branch on the BDD
-  // only when its top variable matches, otherwise both values lead to the
-  // same subfunction.
-  auto rec = [&](auto&& self, std::size_t depth, std::uint32_t n) -> void {
-    if (depth == k) {
-      if (n != kTrue) {
-        throw std::invalid_argument(
-            "for_each_assignment: vars does not cover the support");
-      }
-      rows.push_back(values);
-      return;
-    }
-    const std::uint32_t v = vars[pos[depth]];
-    const std::uint32_t lvl = level(n);
-    if (lvl != kTermVar && lvl < lvl_of_var(v)) {
-      throw std::invalid_argument(
-          "for_each_assignment: vars does not cover the support");
-    }
-    if (lvl == kTermVar || nodes_[n].var != v) {
-      for (const bool b : {false, true}) {
-        values[pos[depth]] = b;
-        self(self, depth + 1, n);
-      }
-      return;
-    }
-    const Node& nd = nodes_[n];
-    if (nd.lo != kFalse) {
-      values[pos[depth]] = false;
-      self(self, depth + 1, nd.lo);
-    }
-    if (nd.hi != kFalse) {
-      values[pos[depth]] = true;
-      self(self, depth + 1, nd.hi);
-    }
-  };
-  rec(rec, 0, f.raw_index());
-  std::sort(rows.begin(), rows.end());
-  for (const auto& row : rows) visit(row);
 }
 
 std::string dot_escape(std::string_view s) {

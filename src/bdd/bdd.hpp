@@ -174,11 +174,6 @@ class Bdd {
   /// number of cubes visited.
   std::size_t for_each_cube(const CubeVisitor& visit) const;
 
-  /// Render a single cube (conjunction of literals) as e.g. "x0 & !x2".
-  /// Requires this BDD to be a cube; names may be empty (then "v<i>").
-  [[nodiscard]] std::string cube_string(
-      const std::vector<std::string>& names = {}) const;
-
   /// Internal node index (stable until the node is garbage collected, which
   /// cannot happen while this handle lives).  Exposed for diagnostics.
   [[nodiscard]] std::uint32_t raw_index() const { return idx_; }
@@ -370,14 +365,6 @@ class Manager {
   [[nodiscard]] std::vector<bool> pick_one_assignment(
       const Bdd& f, const std::vector<std::uint32_t>& vars);
 
-  /// Enumerate all satisfying assignments of f over `vars` (ascending and
-  /// covering f's support), invoking `visit` with the value bits for each.
-  /// The number of assignments is 2^k in the worst case; intended for
-  /// small sets (trace decoding, explicit enumeration).
-  void for_each_assignment(
-      const Bdd& f, const std::vector<std::uint32_t>& vars,
-      const std::function<void(const std::vector<bool>&)>& visit);
-
   /// Force a garbage collection now.  All nodes unreachable from live Bdd
   /// handles are reclaimed; the computed cache is cleared.  When the audit
   /// toggle is on (see audits_enabled) the collection is followed by audit().
@@ -485,8 +472,6 @@ class Manager {
 
   /// Current level (position in the order) of variable v.
   [[nodiscard]] std::uint32_t level_of_var(std::uint32_t v) const;
-  /// The variable currently sitting at level `lvl`.
-  [[nodiscard]] std::uint32_t var_at_level(std::uint32_t lvl) const;
   /// The whole order, top to bottom: element l is the variable at level l.
   [[nodiscard]] const std::vector<std::uint32_t>& current_order() const {
     return level2var_;

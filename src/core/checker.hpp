@@ -117,6 +117,11 @@ struct CheckOutcome {
   std::optional<Trace> trace;
   /// True when `trace` is an incomplete prefix salvaged from an abort.
   bool trace_is_partial = false;
+  /// The states `trace` visits to demonstrate the formula and their labels
+  /// (Explanation::obligations / obligation_labels; empty without a
+  /// complete trace).
+  std::vector<bdd::Bdd> obligations;
+  std::vector<std::string> obligation_labels;
   /// Path of the crash-safe checkpoint written for this check (set when
   /// checkpointing is enabled and the run was interrupted; see
   /// core::resume_check).  Empty on a known verdict.

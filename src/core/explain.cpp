@@ -37,6 +37,8 @@ CheckOutcome Explainer::check(const Formula::Ptr& spec) {
     o.verdict = explanation.holds ? Verdict::kTrue : Verdict::kFalse;
     o.trace = std::move(explanation.trace);
     o.reason = std::move(explanation.note);
+    o.obligations = std::move(explanation.obligations);
+    o.obligation_labels = std::move(explanation.obligation_labels);
   });
   // The witness generator may have salvaged a path prefix before the
   // abort; surface it (it is certifiable as a prefix).
@@ -57,7 +59,7 @@ Explanation Explainer::explain(const Formula::Ptr& spec) {
   Explanation out;
   out.holds = ts.init().implies(sat);
   walked_temporal_ = false;
-  obligations_.clear();
+  obligation_steps_.clear();
   obligation_labels_.clear();
 
   Trace trace;
@@ -95,11 +97,14 @@ Explanation Explainer::explain(const Formula::Ptr& spec) {
       // The trace was built in the reduced model, where the dropped
       // variables carry arbitrary values.
       inflate_reduced_trace(ts, *reduction, trace, "Explainer::explain");
-      // Recorded obligations are reduced-model minterms; project them onto
-      // the cone so the inflated states still satisfy them.
-      for (bdd::Bdd& obligation : obligations_) {
-        obligation = reduction->project(obligation);
-      }
+    }
+    // An obligation is the trace's state at its step.  Re-inflation keeps
+    // every step in place, so a reduced run records the full states an
+    // unreduced run of the same trace records.
+    for (const std::size_t step : obligation_steps_) {
+      out.obligations.push_back(step < trace.prefix.size()
+                                    ? trace.prefix[step]
+                                    : trace.cycle[step - trace.prefix.size()]);
     }
     // The stitched trace mixes sub-formula semantics, so the certifier
     // re-checks the structural duties: every state a single concrete
@@ -110,7 +115,6 @@ Explanation Explainer::explain(const Formula::Ptr& spec) {
                                  "Explainer::explain");
     }
     out.trace = std::move(trace);
-    out.obligations = obligations_;
     out.obligation_labels = obligation_labels_;
   }
   return out;
@@ -155,7 +159,8 @@ bool Explainer::show_true(const Formula::Ptr& f, Trace& trace) {
       const bdd::Bdd t =
           ts.pick_state(checker_.context().image(here) & good);
       trace.prefix.push_back(t);
-      obligations_.push_back(t);  // the chosen successor must survive cuts
+      // The chosen successor must survive cuts.
+      obligation_steps_.push_back(trace.prefix.size() - 1);
       obligation_labels_.push_back("EX successor: " + ctl::to_string(f->lhs()));
       return show_true(f->lhs(), trace);
     }
@@ -167,7 +172,8 @@ bool Explainer::show_true(const Formula::Ptr& f, Trace& trace) {
       const std::vector<bdd::Bdd> rings = checker_.eu_rings(inv, target);
       std::vector<bdd::Bdd> path = generator_.walk_rings(rings, here);
       trace.prefix.insert(trace.prefix.end(), path.begin() + 1, path.end());
-      obligations_.push_back(path.back());  // the reached target state
+      // The reached target state.
+      obligation_steps_.push_back(trace.prefix.size() - 1);
       obligation_labels_.push_back("reaches: " + ctl::to_string(f->rhs()));
       return show_true(f->rhs(), trace);
     }

@@ -81,8 +81,9 @@ class Explainer {
   Checker& checker_;
   WitnessGenerator generator_;
   bool walked_temporal_ = false;
-  std::vector<bdd::Bdd> obligations_;
-  std::vector<std::string> obligation_labels_;  // parallel to obligations_
+  /// Trace step (prefix, then cycle) of each obligation.
+  std::vector<std::size_t> obligation_steps_;
+  std::vector<std::string> obligation_labels_;  // parallel to the steps
 };
 
 }  // namespace symcex::core

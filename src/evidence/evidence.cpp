@@ -382,50 +382,61 @@ std::string BundleBuilder::to_json() const {
 // convenience constructors
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The body of from_explanation and from_outcome: the check header, and
+/// with a trace its path certificate and one "visits" duty per obligation.
+BundleBuilder bundle_check(const ts::TransitionSystem& ts,
+                           std::string model_name,
+                           const std::string& spec_text, std::string verdict,
+                           std::string kind, std::string note,
+                           const std::optional<core::Trace>& trace,
+                           const std::vector<bdd::Bdd>& obligations,
+                           const std::vector<std::string>& labels) {
+  BundleBuilder b(ts, std::move(model_name));
+  b.set_check(spec_text, std::move(verdict), std::move(kind), std::move(note));
+  if (trace.has_value()) {
+    b.set_trace(*trace);
+    certify::TraceCertifier certifier(ts);
+    b.add_certificate("path", certifier.certify_path(*trace));
+    for (std::size_t i = 0; i < obligations.size(); ++i) {
+      std::string label = i < labels.size()
+                              ? labels[i]
+                              : "obligation " + std::to_string(i);
+      b.add_duty_visits(obligations[i], std::move(label));
+    }
+  }
+  return b;
+}
+
+}  // namespace
+
 BundleBuilder from_explanation(const ts::TransitionSystem& ts,
                                std::string model_name,
                                const std::string& spec_text,
                                const core::Explanation& result) {
-  BundleBuilder b(ts, std::move(model_name));
-  const bool has_trace = result.trace.has_value();
-  b.set_check(spec_text, result.holds ? "true" : "false",
-              has_trace ? (result.holds ? "witness" : "counterexample")
-                        : "none",
-              result.note);
-  if (has_trace) {
-    b.set_trace(*result.trace);
-    certify::TraceCertifier certifier(ts);
-    b.add_certificate("path", certifier.certify_path(*result.trace));
-    for (std::size_t i = 0; i < result.obligations.size(); ++i) {
-      std::string label = i < result.obligation_labels.size()
-                              ? result.obligation_labels[i]
-                              : "obligation " + std::to_string(i);
-      b.add_duty_visits(result.obligations[i], std::move(label));
-    }
-  }
-  return b;
+  const char* kind = !result.trace.has_value() ? "none"
+                     : result.holds            ? "witness"
+                                               : "counterexample";
+  return bundle_check(ts, std::move(model_name), spec_text,
+                      result.holds ? "true" : "false", kind, result.note,
+                      result.trace, result.obligations,
+                      result.obligation_labels);
 }
 
 BundleBuilder from_outcome(const ts::TransitionSystem& ts,
                            std::string model_name,
                            const std::string& spec_text,
                            const core::CheckOutcome& outcome) {
-  BundleBuilder b(ts, std::move(model_name));
-  std::string kind = "none";
-  if (outcome.trace.has_value()) {
-    kind = outcome.trace_is_partial
-               ? "partial"
-               : (outcome.verdict == core::Verdict::kTrue ? "witness"
-                                                          : "counterexample");
-  }
-  b.set_check(spec_text, core::verdict_name(outcome.verdict), std::move(kind),
-              outcome.reason);
-  if (outcome.trace.has_value()) {
-    b.set_trace(*outcome.trace);
-    certify::TraceCertifier certifier(ts);
-    b.add_certificate("path", certifier.certify_path(*outcome.trace));
-  }
-  return b;
+  const char* kind = !outcome.trace.has_value() ? "none"
+                     : outcome.trace_is_partial ? "partial"
+                     : outcome.verdict == core::Verdict::kTrue
+                         ? "witness"
+                         : "counterexample";
+  return bundle_check(ts, std::move(model_name), spec_text,
+                      core::verdict_name(outcome.verdict), kind,
+                      outcome.reason, outcome.trace, outcome.obligations,
+                      outcome.obligation_labels);
 }
 
 // ---------------------------------------------------------------------------

@@ -198,8 +198,9 @@ class BundleBuilder {
                                              const std::string& spec_text,
                                              const core::Explanation& result);
 
-/// Bundle a budgeted CheckOutcome: like from_explanation, with kUnknown
-/// outcomes exporting their salvaged partial prefix as "partial" evidence.
+/// Bundle a budgeted CheckOutcome: like from_explanation (the outcome
+/// carries the same obligations), with kUnknown outcomes exporting their
+/// salvaged partial prefix as "partial" evidence.
 [[nodiscard]] BundleBuilder from_outcome(const ts::TransitionSystem& ts,
                                          std::string model_name,
                                          const std::string& spec_text,

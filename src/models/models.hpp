@@ -25,6 +25,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "ts/transition_system.hpp"
 
@@ -157,5 +159,15 @@ struct SccChainOptions {
 /// Synthetic SCC chain.  Labels: head, in_cycle, mark (the fairness state).
 [[nodiscard]] std::unique_ptr<ts::TransitionSystem> scc_chain(
     const SccChainOptions& options = {});
+
+/// The bundled zoo's names, in canonical order: counter, counter_mod,
+/// counter_fair, counter_bank, peterson, peterson_buggy, philosophers,
+/// round_robin, abp, seitz_arbiter, scc_chain.
+[[nodiscard]] std::vector<std::string> bundled_names();
+
+/// Build a bundled zoo model by name (one fixed small instance of a
+/// builder above).  Throws std::invalid_argument on an unknown name.
+[[nodiscard]] std::unique_ptr<ts::TransitionSystem> bundled(
+    const std::string& name);
 
 }  // namespace symcex::models

@@ -782,14 +782,6 @@ std::string default_checkpoint_dir() {
 }
 
 std::string checkpoint_basename(const std::string& model_name,
-                                const std::string& formula) {
-  const std::uint64_t h = fnv1a64(formula.data(), formula.size());
-  std::ostringstream os;
-  os << sanitize_model_name(model_name) << "-" << std::hex << h << ".sxsnap";
-  return os.str();
-}
-
-std::string checkpoint_basename(const std::string& model_name,
                                 const std::string& formula,
                                 std::uint64_t ts_fingerprint) {
   // Fold the structural fingerprint into the hashed half of the name, so

@@ -135,14 +135,11 @@ void save_check_snapshot(const std::string& path,
 [[nodiscard]] std::string default_checkpoint_dir();
 
 /// Deterministic checkpoint filename for a (model, formula) pair:
-/// "<sanitized-model>-<fnv64(formula) hex>.sxsnap".  Sanitization is
-/// lossy, so two distinct models can share a sanitized name; pass the
-/// transition system's structural fingerprint (ts::TransitionSystem::
-/// fingerprint()) to keep their checkpoints from clobbering each other
-/// in one SYMCEX_CHECKPOINT_DIR:
 /// "<sanitized-model>-<fnv64(fingerprint^formula) hex>.sxsnap".
-[[nodiscard]] std::string checkpoint_basename(const std::string& model_name,
-                                              const std::string& formula);
+/// Sanitization is lossy, so two distinct models can share a sanitized
+/// name; the transition system's structural fingerprint (ts::
+/// TransitionSystem::fingerprint()) keeps their checkpoints from
+/// clobbering each other in one SYMCEX_CHECKPOINT_DIR.
 [[nodiscard]] std::string checkpoint_basename(const std::string& model_name,
                                               const std::string& formula,
                                               std::uint64_t ts_fingerprint);

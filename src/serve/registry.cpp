@@ -1,7 +1,7 @@
 // SymCeX -- serve: the served-model registry.
 //
-// Three ways a model enters the daemon: by bundled name (the test zoo,
-// built programmatically), as inline SMV source (compiled by the mini-SMV
+// Three ways a model enters the daemon: by bundled name (the models::bundled
+// zoo), as inline SMV source (compiled by the mini-SMV
 // front end), or warm from a persist check snapshot (the rebuilt system
 // arrives with its reachable set installed and its fair-states set staged
 // for Checker::seed_fair -- the snapshot format doubles as the daemon's
@@ -16,44 +16,10 @@
 
 namespace symcex::serve {
 
-const std::vector<std::string>& bundled_model_names() {
-  static const std::vector<std::string> names = {
-      "counter",      "counter_mod", "counter_fair",  "counter_bank",
-      "peterson",     "peterson_buggy", "philosophers", "round_robin",
-      "abp",          "seitz_arbiter", "scc_chain",
-  };
-  return names;
-}
-
 ServedModel build_bundled_model(const std::string& name) {
   ServedModel m;
   m.name = name;
-  if (name == "counter") {
-    m.owned = models::counter({.width = 4});
-  } else if (name == "counter_mod") {
-    m.owned = models::counter({.width = 6, .modulus = 40});
-  } else if (name == "counter_fair") {
-    m.owned =
-        models::counter({.width = 3, .stutter = true, .fair_ticking = true});
-  } else if (name == "counter_bank") {
-    m.owned = models::counter_bank({.banks = 4, .width = 2});
-  } else if (name == "peterson") {
-    m.owned = models::peterson({});
-  } else if (name == "peterson_buggy") {
-    m.owned = models::peterson({.buggy = true});
-  } else if (name == "philosophers") {
-    m.owned = models::dining_philosophers({.count = 3});
-  } else if (name == "round_robin") {
-    m.owned = models::round_robin_arbiter({.users = 3});
-  } else if (name == "abp") {
-    m.owned = models::abp({});
-  } else if (name == "seitz_arbiter") {
-    m.owned = models::seitz_arbiter({});
-  } else if (name == "scc_chain") {
-    m.owned = models::scc_chain({});
-  } else {
-    throw std::invalid_argument("serve: unknown bundled model: " + name);
-  }
+  m.owned = models::bundled(name);
   m.system = m.owned.get();
   return m;
 }

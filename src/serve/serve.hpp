@@ -182,14 +182,8 @@ struct ServedModel {
   bdd::Bdd warm_fair;  ///< completed fair-states set from a snapshot
 };
 
-/// Names build_bundled_model accepts (the tests' model zoo, in canonical
-/// order): counter, counter_mod, counter_fair, counter_bank, peterson,
-/// peterson_buggy, philosophers, round_robin, abp, seitz_arbiter,
-/// scc_chain.
-[[nodiscard]] const std::vector<std::string>& bundled_model_names();
-
-/// Build a bundled model by name.  Throws std::invalid_argument on an
-/// unknown name.
+/// Build a bundled zoo model by name (models::bundled).  Throws
+/// std::invalid_argument on an unknown name.
 [[nodiscard]] ServedModel build_bundled_model(const std::string& name);
 
 /// Compile an SMV source into a served model.  Throws smv::SmvError.

@@ -1,9 +1,9 @@
 // Tests for the static-analysis subsystem (src/analyze, DESIGN.md §12):
 // dependency graphs, cone-of-influence reduction, trace re-inflation,
-// constant folding, and the cross-mode guarantee the whole feature hangs
-// on -- a COI-reduced check must return the same verdict as the exact
-// check, and its certified witness must be a full-model trace the raw
-// relation accepts.
+// constant folding and monotone seeds.  The cross-mode guarantee the whole
+// feature hangs on -- a COI-reduced check returns the same verdict as the
+// exact check, with a certified full-model trace the raw relation accepts
+// -- is the cross-mode oracle's job (tests/oracle_test.cpp).
 
 #include <cstdint>
 #include <memory>
@@ -16,7 +16,6 @@
 #include "bdd/bdd.hpp"
 #include "certify/certify.hpp"
 #include "core/checker.hpp"
-#include "core/explain.hpp"
 #include "diag/metrics.hpp"
 #include "models/models.hpp"
 #include "smv/smv.hpp"
@@ -255,90 +254,6 @@ TEST(ConstFold, PinsConstantVariablesAndSeversThemFromTheCone) {
   const analyze::Cone cone =
       analyze::cone_of_influence(folded.system(), g, {mode_seed});
   EXPECT_TRUE(cone.reduces());
-}
-
-// ---------------------------------------------------------------------------
-// Cross-mode: COI on vs off
-// ---------------------------------------------------------------------------
-
-/// Check one spec in both modes with certification forced on (so the
-/// Explainer itself re-inflates and certifies the COI trace against the
-/// raw relation, throwing on any violation).  Verdicts must agree; when
-/// `bit_identical`, the full-model traces must also match bit for bit --
-/// true whenever the dropped components can stutter, because then both
-/// the witness picks and the re-inflation resolve to the same
-/// lexicographically-least states.  With a *deterministic* dropped
-/// component (a free-running watchdog, say) the two modes may close a
-/// lasso differently -- the exact cycle must return to the full state,
-/// the reduced one only to the cone -- so both cycles are valid but not
-/// comparable; there we still require both traces to replay against the
-/// raw unreduced relation.
-void expect_cross_mode_match(ts::TransitionSystem& system,
-                             const std::string& spec,
-                             bool bit_identical = true) {
-  const test::ScopedConfig certifying(test::certify_on);
-  core::Checker exact(system, {.coi = false});
-  core::Checker reduced(system, {.coi = true});
-  core::Explainer exact_explain(exact);
-  core::Explainer reduced_explain(reduced);
-
-  const core::Explanation a = exact_explain.explain(spec);
-  const core::Explanation b = reduced_explain.explain(spec);
-
-  EXPECT_EQ(a.holds, b.holds) << spec;
-  ASSERT_EQ(a.trace.has_value(), b.trace.has_value()) << spec;
-  if (!a.trace.has_value()) return;
-  if (bit_identical) {
-    ASSERT_EQ(a.trace->prefix.size(), b.trace->prefix.size()) << spec;
-    ASSERT_EQ(a.trace->cycle.size(), b.trace->cycle.size()) << spec;
-    for (std::size_t i = 0; i < a.trace->prefix.size(); ++i) {
-      EXPECT_EQ(a.trace->prefix[i], b.trace->prefix[i])
-          << spec << " prefix step " << i;
-    }
-    for (std::size_t i = 0; i < a.trace->cycle.size(); ++i) {
-      EXPECT_EQ(a.trace->cycle[i], b.trace->cycle[i])
-          << spec << " cycle step " << i;
-    }
-  } else {
-    const certify::TraceCertifier certifier(system);
-    const certify::Certificate ca = certifier.certify_path(*a.trace);
-    const certify::Certificate cb = certifier.certify_path(*b.trace);
-    EXPECT_TRUE(ca.ok()) << spec << "\n" << ca.to_string();
-    EXPECT_TRUE(cb.ok()) << spec << "\n" << cb.to_string();
-  }
-}
-
-TEST(CrossMode, CounterBankVerdictsAndTracesMatch) {
-  auto m = models::counter_bank({.banks = 3, .width = 2});
-  for (const char* spec : {"EF max0", "AG EF zero0", "EF all_max",
-                           "AG (zero0 -> EX !zero0)", "EG zero0"}) {
-    expect_cross_mode_match(*m, spec);
-  }
-}
-
-TEST(CrossMode, SmvModelWithIndependentWatchdogMatches) {
-  constexpr const char* source = R"(MODULE main
-VAR
-  req  : boolean;
-  gnt  : boolean;
-  tick : 0..7;
-ASSIGN
-  init(gnt)  := FALSE;
-  next(req)  := case req = gnt : {TRUE, FALSE}; TRUE : req; esac;
-  next(gnt)  := req;
-  init(tick) := 0;
-  next(tick) := case tick < 7 : tick + 1; TRUE : 0; esac;
-)";
-  smv::SmvModel model = smv::compile(source);
-  // The watchdog is deterministic, so lassos may close differently across
-  // modes (see expect_cross_mode_match): require raw-relation replay
-  // instead of bit-identity.
-  for (const char* spec :
-       {"AG (gnt -> req)",      // holds: gnt' = req and req holds while != gnt
-        "AG !gnt",              // fails with a counterexample path
-        "EF gnt", "EG !gnt"}) {
-    expect_cross_mode_match(model.system(), spec, /*bit_identical=*/false);
-  }
 }
 
 TEST(CrossMode, SeedsGrowMonotonicallyAcrossChecks) {

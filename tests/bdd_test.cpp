@@ -343,16 +343,6 @@ TEST_F(BddTest, DotExportEscapesHostileNames) {
   EXPECT_EQ(dot_escape("a\"b\\c\nd\re"), "a\\\"b\\\\c\\nde");
 }
 
-TEST_F(BddTest, CubeStringRendersLiterals) {
-  const Bdd c = m.var(0) & !m.var(2);
-  EXPECT_EQ(c.cube_string({"x", "y", "z"}), "x & !z");
-  EXPECT_EQ(c.cube_string(), "v0 & !v2");
-  EXPECT_EQ(m.one().cube_string(), "true");
-  EXPECT_EQ(m.zero().cube_string(), "false");
-  EXPECT_THROW((void)(m.var(0) | m.var(1)).cube_string(),
-               std::invalid_argument);
-}
-
 TEST_F(BddTest, NewVarExtendsTheOrder) {
   Manager local(0);
   EXPECT_EQ(local.num_vars(), 0u);
@@ -540,37 +530,6 @@ TEST_F(BddTest, ComposeSubstitutes) {
   // Composition may introduce variables ABOVE the substituted one.
   const Bdd g = m.var(4).compose(4, a | b);
   EXPECT_EQ(g, a | b);
-}
-
-TEST_F(BddTest, ForEachAssignmentEnumeratesExactly) {
-  const Bdd f = (m.var(0) & m.var(1)) | m.var(2);
-  std::vector<std::vector<bool>> found;
-  m.for_each_assignment(f, {0, 1, 2}, [&](const std::vector<bool>& a) {
-    found.push_back(a);
-  });
-  EXPECT_EQ(found.size(), 5u);  // sat_count over 3 vars
-  for (const auto& a : found) {
-    EXPECT_TRUE((a[0] && a[1]) || a[2]);
-  }
-  // Empty function: no visits; bad var lists throw.
-  m.for_each_assignment(m.zero(), {0}, [&](const std::vector<bool>&) {
-    FAIL() << "zero has no assignments";
-  });
-  EXPECT_THROW(
-      m.for_each_assignment(f, {0, 1}, [](const std::vector<bool>&) {}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      m.for_each_assignment(f, {2, 1, 0}, [](const std::vector<bool>&) {}),
-      std::invalid_argument);
-}
-
-TEST_F(BddTest, ForEachAssignmentCountsFreeVariables) {
-  int count = 0;
-  m.for_each_assignment(m.var(0), {0, 1}, [&](const std::vector<bool>& a) {
-    EXPECT_TRUE(a[0]);
-    ++count;
-  });
-  EXPECT_EQ(count, 2);  // the free variable doubles the count
 }
 
 // ---------------------------------------------------------------------------

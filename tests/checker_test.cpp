@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/checker.hpp"
-#include "explicit/explicit_checker.hpp"
-#include "explicit/explicit_graph.hpp"
 #include "test_util.hpp"
 #include "ts/transition_system.hpp"
 
@@ -194,59 +192,6 @@ TEST(EuRingsTest, RingsAreTheBfsOnion) {
     EXPECT_EQ(m.count_states(rings[i] - rings[i - 1]), 1.0);
   }
 }
-
-// ---------------------------------------------------------------------------
-// Property: symbolic verdicts agree with the explicit-state oracle.
-// ---------------------------------------------------------------------------
-
-class SymbolicVsExplicit : public ::testing::TestWithParam<int> {};
-
-TEST_P(SymbolicVsExplicit, VerdictsAgreeOnRandomModels) {
-  const unsigned seed = static_cast<unsigned>(GetParam());
-  std::mt19937 rng(seed * 977 + 13);
-  const std::uint32_t nfair = seed % 3;  // 0, 1 or 2 fairness constraints
-  auto m = test::random_ts(seed, {.num_vars = 4, .num_fairness = nfair});
-  Checker symbolic(*m);
-  const auto enumerated = enumerative::enumerate(*m, 1u << 12);
-  enumerative::Checker explicit_checker(enumerated.graph);
-
-  for (int round = 0; round < 25; ++round) {
-    const auto f = test::random_ctl(rng);
-    const bool want = explicit_checker.holds(f);
-    EXPECT_EQ(symbolic.holds(f), want) << ctl::to_string(f) << " seed "
-                                       << seed;
-    // Also compare the full satisfying set, state by state.
-    const bdd::Bdd sat = symbolic.states(f);
-    const auto bits = explicit_checker.states(f);
-    for (std::size_t i = 0; i < enumerated.concrete.size(); ++i) {
-      EXPECT_EQ(enumerated.concrete[i].intersects(sat), bits[i])
-          << ctl::to_string(f) << " state " << i << " seed " << seed;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicVsExplicit, ::testing::Range(0, 15));
-
-/// Verdicts are independent of the image-computation method.
-class ImageMethodProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(ImageMethodProperty, PartitionedAndMonolithicAgree) {
-  const unsigned seed = static_cast<unsigned>(GetParam());
-  auto m = test::random_ts(seed, {.num_vars = 4, .num_fairness = seed % 2});
-  CheckOptions mono;
-  mono.image_method = ts::ImageMethod::kMonolithic;
-  CheckOptions part;
-  part.image_method = ts::ImageMethod::kPartitioned;
-  Checker a(*m, mono);
-  Checker b(*m, part);
-  std::mt19937 rng(seed + 17);
-  for (int round = 0; round < 10; ++round) {
-    const auto f = test::random_ctl(rng);
-    EXPECT_EQ(a.states(f), b.states(f)) << ctl::to_string(f);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ImageMethodProperty, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace symcex::core

@@ -54,19 +54,6 @@ void write_file(const std::string& path, const std::string& content) {
   ASSERT_TRUE(out) << "cannot write " << path;
 }
 
-/// Run symcex-verify on `paths`; returns the exit status with the captured
-/// stdout+stderr in *output.  The log lives in the test's own `dir`:
-/// test cases may run as concurrent processes.
-int run_verify(const std::string& dir, const std::string& paths,
-               std::string* output) {
-  const std::string log = dir + "/verify.log";
-  const std::string cmd =
-      std::string(SYMCEX_VERIFY_BIN) + " " + paths + " > " + log + " 2>&1";
-  const int status = std::system(cmd.c_str());
-  *output = read_file(log);
-  return status;
-}
-
 using Cube = std::vector<evidence::Literal>;
 using Cover = std::vector<Cube>;
 
@@ -144,7 +131,7 @@ void round_trip(ts::TransitionSystem& system, const std::string& model_name,
 
   // The standalone checker accepts the bundle with no engine involved.
   std::string output;
-  EXPECT_EQ(run_verify(dir, dir + "/bundle.json", &output), 0) << output;
+  EXPECT_EQ(test::run_verify(dir, dir + "/bundle.json", &output), 0) << output;
   EXPECT_NE(output.find("OK "), std::string::npos) << output;
 }
 
@@ -199,7 +186,7 @@ TEST(EvidenceBundle, TamperedStateAssignmentIsRejectedByName) {
   std::filesystem::create_directories(dir);
   write_file(dir + "/tampered.json", json);
   std::string output;
-  EXPECT_NE(run_verify(dir, dir + "/tampered.json", &output), 0);
+  EXPECT_NE(test::run_verify(dir, dir + "/tampered.json", &output), 0);
   EXPECT_NE(output.find("FAIL transition["), std::string::npos) << output;
 }
 
@@ -220,7 +207,7 @@ TEST(EvidenceBundle, TamperedObligationIsRejectedByName) {
   std::filesystem::create_directories(dir);
   write_file(dir + "/tampered.json", json);
   std::string output;
-  EXPECT_NE(run_verify(dir, dir + "/tampered.json", &output), 0);
+  EXPECT_NE(test::run_verify(dir, dir + "/tampered.json", &output), 0);
   EXPECT_NE(output.find("FAIL certificate[path]"), std::string::npos)
       << output;
 }
@@ -449,7 +436,7 @@ TEST(EvidenceBundle, PartialOutcomeExportsPrefixEvidence) {
   const std::string dir = fresh_dir();
   ASSERT_TRUE(evidence::emit_files(bundle, dir, "partial"));
   std::string output;
-  EXPECT_EQ(run_verify(dir, dir + "/partial.json", &output), 0) << output;
+  EXPECT_EQ(test::run_verify(dir, dir + "/partial.json", &output), 0) << output;
 }
 
 TEST(EvidenceBundle, ExplicitDutiesAreReVerified) {
@@ -464,7 +451,7 @@ TEST(EvidenceBundle, ExplicitDutiesAreReVerified) {
   const std::string dir = fresh_dir();
   ASSERT_TRUE(evidence::emit_files(bundle, dir, "duties"));
   std::string output;
-  EXPECT_EQ(run_verify(dir, dir + "/duties.json", &output), 0) << output;
+  EXPECT_EQ(test::run_verify(dir, dir + "/duties.json", &output), 0) << output;
 }
 
 TEST(EvidenceBundle, UnfulfilledDutyIsRejectedByName) {
@@ -480,7 +467,7 @@ TEST(EvidenceBundle, UnfulfilledDutyIsRejectedByName) {
   const std::string dir = fresh_dir();
   ASSERT_TRUE(evidence::emit_files(bundle, dir, "unfulfilled"));
   std::string output;
-  EXPECT_NE(run_verify(dir, dir + "/unfulfilled.json", &output), 0);
+  EXPECT_NE(test::run_verify(dir, dir + "/unfulfilled.json", &output), 0);
   EXPECT_NE(output.find("FAIL duty:visits"), std::string::npos) << output;
 }
 
@@ -550,10 +537,10 @@ TEST(EvidenceBundle, TamperedCoversAreRejectedByName) {
   std::filesystem::create_directories(dir);
   std::string output;
   write_file(dir + "/intact.json", json);
-  ASSERT_EQ(run_verify(dir, dir + "/intact.json", &output), 0) << output;
+  ASSERT_EQ(test::run_verify(dir, dir + "/intact.json", &output), 0) << output;
   for (const Case& c : cases) {
     write_file(dir + "/tampered.json", c.bundle);
-    const int status = run_verify(dir, dir + "/tampered.json", &output);
+    const int status = test::run_verify(dir, dir + "/tampered.json", &output);
     ASSERT_TRUE(WIFEXITED(status)) << c.name;
     EXPECT_EQ(WEXITSTATUS(status), 1) << c.name << ": " << output;
     EXPECT_NE(output.find(c.failure), std::string::npos)
@@ -570,7 +557,7 @@ TEST(EvidenceBundle, TruncatedBundlesFailWithoutCrashing) {
   for (int i = 0; i < 64; ++i) {
     const std::size_t cut = rng() % json.size();
     write_file(dir + "/truncated.json", json.substr(0, cut));
-    const int status = run_verify(dir, dir + "/truncated.json", &output);
+    const int status = test::run_verify(dir, dir + "/truncated.json", &output);
     ASSERT_TRUE(WIFEXITED(status)) << "cut at " << cut << ": " << output;
     EXPECT_EQ(WEXITSTATUS(status), 1) << "cut at " << cut << ": " << output;
     EXPECT_NE(output.find("FAIL json"), std::string::npos)

@@ -56,8 +56,6 @@ TEST(Fnv1a, CallersKeepTheirRecordedValues) {
   EXPECT_EQ(serve::model_fingerprint(*system).hex(),
             "163c4f546bdacefce66799a3dcf57b15");
   EXPECT_EQ(serve::hex16(persist::fnv1a64("symcex", 6)), "f2412f96c29f77a8");
-  EXPECT_EQ(persist::checkpoint_basename("seitz_arbiter", spec),
-            "seitz_arbiter-f94ac5153e70ded7.sxsnap");
   EXPECT_EQ(persist::checkpoint_basename("seitz_arbiter", spec,
                                          system->fingerprint()),
             "seitz_arbiter-8027312d375c9cec.sxsnap");

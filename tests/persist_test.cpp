@@ -319,22 +319,22 @@ TEST(CheckSnapshot, GoldenV1StaysLoadable) {
 }
 
 TEST(CheckSnapshot, CheckpointBasenameIsSanitizedAndStable) {
-  const std::string a = persist::checkpoint_basename("a/b c", "AG p");
-  EXPECT_EQ(a, persist::checkpoint_basename("a/b c", "AG p"));
+  const std::string a = persist::checkpoint_basename("a/b c", "AG p", 42);
+  EXPECT_EQ(a, persist::checkpoint_basename("a/b c", "AG p", 42));
   EXPECT_EQ(a.find('/'), std::string::npos);
   EXPECT_EQ(a.find(' '), std::string::npos);
-  EXPECT_NE(a, persist::checkpoint_basename("a/b c", "AG q"));
+  EXPECT_NE(a, persist::checkpoint_basename("a/b c", "AG q", 42));
   EXPECT_EQ(a.substr(a.size() - 7), ".sxsnap");
 }
 
 // Regression: sanitization is lossy, so two *different* models sharing a
 // sanitized name and formula used to clobber each other's checkpoint in
-// one SYMCEX_CHECKPOINT_DIR.  The fingerprint-taking overload keeps their
-// basenames distinct while staying deterministic per model.
+// one SYMCEX_CHECKPOINT_DIR.  The fingerprint keeps their basenames
+// distinct while staying deterministic per model.
 TEST(CheckSnapshot, CheckpointBasenameSeparatesCollidingModels) {
-  // "m/1" and "m:1" sanitize identically -- the 2-arg basenames collide.
-  EXPECT_EQ(persist::checkpoint_basename("m/1", "AG p"),
-            persist::checkpoint_basename("m:1", "AG p"));
+  // "m/1" and "m:1" sanitize identically: only the fingerprint differs.
+  EXPECT_EQ(persist::checkpoint_basename("m/1", "AG p", 42),
+            persist::checkpoint_basename("m:1", "AG p", 42));
 
   // Two structurally different systems under those names stay apart.
   auto small = models::counter({.width = 3});

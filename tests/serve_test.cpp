@@ -20,11 +20,13 @@
 #include "core/checker.hpp"
 #include "core/explain.hpp"
 #include "ctl/formula.hpp"
+#include "evidence/evidence.hpp"
 #include "guard/fault.hpp"
 #include "json_mini.hpp"
 #include "models/models.hpp"
 #include "persist/persist.hpp"
 #include "serve/serve.hpp"
+#include "test_util.hpp"
 
 #ifndef SYMCEX_VERIFY_BIN
 #error "SYMCEX_VERIFY_BIN must point at the symcex-verify executable"
@@ -53,19 +55,6 @@ void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
   ASSERT_TRUE(out) << "cannot write " << path;
-}
-
-/// Run symcex-verify on `paths`; returns the exit status with captured
-/// stdout+stderr in *output.  The log lives in the test's own `dir`:
-/// test cases may run as concurrent processes.
-int run_verify(const std::string& dir, const std::string& paths,
-               std::string* output) {
-  const std::string log = dir + "/verify.log";
-  const std::string cmd =
-      std::string(SYMCEX_VERIFY_BIN) + " " + paths + " > " + log + " 2>&1";
-  const int status = std::system(cmd.c_str());
-  *output = read_file(log);
-  return status;
 }
 
 serve::CheckRequest req(const std::string& model, const std::string& spec) {
@@ -358,7 +347,7 @@ TEST(ServeDaemon, BatchServesVerifiesAndCachesAcrossModels) {
 
   // Every served bundle is a self-contained proof symcex-verify accepts.
   std::string verify_out;
-  EXPECT_EQ(run_verify(bundles, bundles + "/*.json", &verify_out), 0)
+  EXPECT_EQ(test::run_verify(bundles, bundles + "/*.json", &verify_out), 0)
       << verify_out;
 
   // Second pass: identical answers, all cache hits, no checker run.
@@ -379,6 +368,42 @@ TEST(ServeDaemon, BatchServesVerifiesAndCachesAcrossModels) {
   EXPECT_EQ(stats.hits, jobs.size());
   EXPECT_EQ(stats.misses, jobs.size());
   EXPECT_EQ(stats.sessions, jobs.size());  // one warm session per model
+}
+
+TEST(ServeDaemon, ServedBundlesCarryTheExplanationDuties) {
+  // A served bundle proves what a from_explanation bundle of the same check
+  // proves: the same predicates and "visits" duties, and both replay.
+  serve::Server server(base_options("duties"));
+  const std::string spec = ctl::to_string(ctl::parse("EF max"));
+  const serve::CheckResult served = server.execute(req("counter", spec));
+  ASSERT_TRUE(served.ok) << served.error;
+
+  auto system = models::bundled("counter");
+  core::Checker checker(*system);
+  core::Explainer explainer(checker);
+  const std::string direct =
+      evidence::from_explanation(*system, "counter", spec,
+                                 explainer.explain(spec))
+          .to_json();
+
+  // The writer emits "predicates" and "duties" just before "certificates".
+  const auto duties = [](const std::string& bundle) {
+    const std::size_t from = bundle.find("\"predicates\":");
+    const std::size_t to = bundle.find("\"certificates\":");
+    EXPECT_LT(from, to);
+    return bundle.substr(from, to - from);
+  };
+  EXPECT_NE(duties(direct).find("\"visits\""), std::string::npos);
+  EXPECT_EQ(duties(served.bundle), duties(direct));
+
+  const std::string dir = fresh_dir("duty_bundles");
+  write_file(dir + "/served.json", served.bundle);
+  write_file(dir + "/direct.json", direct);
+  std::string output;
+  EXPECT_EQ(test::run_verify(dir, dir + "/served.json " + dir + "/direct.json",
+                             &output),
+            0)
+      << output;
 }
 
 TEST(ServeDaemon, EquivalentSpellingsShareOneCacheEntry) {

@@ -1,13 +1,17 @@
 // Shared helpers for the SymCeX test suite: random transition systems and
 // random CTL formulas, used to cross-check the symbolic checker against
 // the independent explicit-state implementation, a scoped edit of the
-// runtime configuration, and the structural trace check as a gtest
-// predicate.
+// runtime configuration, the structural trace check as a gtest predicate,
+// and (in binaries built with SYMCEX_VERIFY_BIN) a symcex-verify runner.
 
 #pragma once
 
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,6 +58,24 @@ inline ::testing::AssertionResult certified_path(
   return ::testing::AssertionFailure()
          << "obligation " << failed->name << " failed: " << failed->detail;
 }
+
+#ifdef SYMCEX_VERIFY_BIN
+/// Run symcex-verify on `paths`; returns the exit status with the captured
+/// stdout+stderr in *output.  The log lives in the test's own `dir`:
+/// test cases may run as concurrent processes.
+inline int run_verify(const std::string& dir, const std::string& paths,
+                      std::string* output) {
+  const std::string log = dir + "/verify.log";
+  const std::string cmd =
+      std::string(SYMCEX_VERIFY_BIN) + " " + paths + " > " + log + " 2>&1";
+  const int status = std::system(cmd.c_str());
+  std::ifstream in(log, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  *output = buffer.str();
+  return status;
+}
+#endif
 
 /// A random boolean function over the current rail of `m`.
 inline bdd::Bdd random_predicate(ts::TransitionSystem& m, std::mt19937& rng) {
